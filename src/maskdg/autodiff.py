@@ -88,8 +88,9 @@ class Var:
                 if not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                    parent.grad = np.array(contrib, dtype=np.float64)
+                else:
+                    parent.grad += contrib
 
     # -- arithmetic --------------------------------------------------------
 
@@ -170,6 +171,29 @@ def param(x) -> Var:
     return Var(x, requires_grad=True)
 
 
+class Params:
+    """Base of the parameter containers. Subclasses list their leaves as
+    stable (name, leaf) pairs in `named()` and rebuild themselves with a
+    function applied to every leaf in `map(fn)`, so one container type holds
+    either the arrays or their tape Vars."""
+
+    def __getitem__(self, name: str):
+        return dict(self.named())[name]
+
+    def num_params(self) -> int:
+        return sum(arr.size for _, arr in self.named())
+
+    def grads(self) -> dict:
+        """Adjoints of a container of Vars by name, zero where none arrived."""
+        return {name: v.grad if v.grad is not None else np.zeros_like(v.data)
+                for name, v in self.named()}
+
+
+def param_vars(p: Params, track: bool) -> Params:
+    """`p` with every array wrapped as a tracked leaf or as a constant."""
+    return p.map(param if track else constant)
+
+
 # -- nonlinearities -------------------------------------------------------
 
 def relu(x: Var) -> Var:
@@ -215,20 +239,34 @@ def gather_rows(x: Var, index: np.ndarray) -> Var:
     index = np.asarray(index, dtype=np.int64)
     out_data = x.data[index]
 
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
-        return ((x, gx),)
+    return Var(out_data, parents=(x,),
+               vjp=lambda g: ((x, sum_rows(g, index, x.data.shape[0])),))
 
-    return Var(out_data, parents=(x,), vjp=vjp)
+
+def stable_order(ids: np.ndarray, num_ids: int) -> np.ndarray:
+    """np.argsort(ids, kind="stable"), as a radix sort when ids fit in 16 bits."""
+    if num_ids <= 1 << 16:
+        ids = ids.astype(np.uint16)
+    return np.argsort(ids, kind="stable")
+
+
+def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[i] = sum of the rows x[j] with index[j] == i: np.add.at into
+    zeros, done as a stable sort and one np.add.reduceat."""
+    counts = np.bincount(index, minlength=num_rows)
+    rows = np.flatnonzero(counts)
+    out = np.zeros((num_rows,) + x.shape[1:])
+    if rows.size:
+        starts = (np.cumsum(counts) - counts)[rows]
+        out[rows] = np.add.reduceat(x[stable_order(index, num_rows)], starts,
+                                    axis=0)
+    return out
 
 
 def segment_sum(x: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
     """Sum rows of x into `num_segments` buckets; adjoint is a gather."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    shape = (num_segments,) + x.data.shape[1:]
-    out_data = np.zeros(shape, dtype=np.float64)
-    np.add.at(out_data, segment_ids, x.data)
+    out_data = sum_rows(x.data, segment_ids, num_segments)
     return Var(out_data, parents=(x,), vjp=lambda g: ((x, g[segment_ids]),))
 
 
@@ -264,7 +302,7 @@ def take_per_row(x: Var, cols: np.ndarray) -> Var:
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g)
+        gx[rows, cols] = g          # one entry per row: no duplicates
         return ((x, gx),)
 
     return Var(out_data, parents=(x,), vjp=vjp)
@@ -311,5 +349,9 @@ def dropout(x: Var, rate: float, rng: np.random.Generator) -> Var:
     """Inverted dropout; the drawn mask rides the tape as a constant."""
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x * constant(keep)
+    return x * constant(dropout_keep(rng, x.data.shape, rate))
+
+
+def dropout_keep(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Inverted-dropout scale: 0 with probability `rate`, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)

@@ -43,15 +43,12 @@ def grad_tasknet(task: tasknet.TaskNetParams, X: np.ndarray, edges: np.ndarray,
                  dropout_rng: Optional[np.random.Generator] = None) -> GradientBundle:
     """Exact reverse-accumulation gradient of the classification loss w.r.t.
     the classifier; the mask enters as a constant edge attribute."""
-    pv = tasknet.param_vars(task, track=True)
+    pv = ad.param_vars(task, track=True)
     logits = tasknet.tasknet_forward_var(pv, X, edges, ad.constant(mask_values),
                                          cfg, dropout_rng)
     loss = tasknet.cross_entropy_var(logits, labels)
     loss.backward()
-    grads = {name: (pv[name].grad if pv[name].grad is not None
-                    else np.zeros_like(arr))
-             for name, arr in task.named()}
-    return GradientBundle(grads=grads, loss=float(loss.data),
+    return GradientBundle(grads=pv.grads(), loss=float(loss.data),
                           objective=float(loss.data))
 
 
@@ -69,7 +66,7 @@ def grad_masknet(task: tasknet.TaskNetParams, maskp: masknet.MaskNetParams,
     m = int(scorable.sum())
     if m == 0:
         raise ValueError("no scorable edges: adversary has nothing to mask")
-    tpv = tasknet.param_vars(task, track=False)
+    tpv = ad.param_vars(task, track=False)
     logits = tasknet.tasknet_forward_var(tpv, X, edges, mask_var, cfg, dropout_rng)
     loss = tasknet.cross_entropy_var(logits, labels)
     objective = -loss + lam * scorable_mean_var(mask_var, m)
@@ -80,10 +77,7 @@ def grad_masknet(task: tasknet.TaskNetParams, maskp: masknet.MaskNetParams,
         mask_grad[scorable] = mask_var.grad[scorable]
 
     objective.backward()
-    grads = {name: (mpv[name].grad if mpv[name].grad is not None
-                    else np.zeros_like(arr))
-             for name, arr in maskp.named()}
-    return GradientBundle(grads=grads, loss=float(loss.data),
+    return GradientBundle(grads=mpv.grads(), loss=float(loss.data),
                           objective=float(objective.data),
                           mask_grad=mask_grad, mask_values=mask_var.data.copy())
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 
 
 @dataclass
-class MaskNetParams:
+class MaskNetParams(ad.Params):
     """Projection (d -> d') plus scoring MLP (2d' -> hidden -> 1)."""
 
     proj_w: np.ndarray
@@ -34,11 +34,8 @@ class MaskNetParams:
             ("mlp_w2", self.mlp_w2), ("mlp_b2", self.mlp_b2),
         ]
 
-    def copy(self) -> "MaskNetParams":
-        return MaskNetParams(*(arr.copy() for _, arr in self.named()))
-
-    def num_params(self) -> int:
-        return sum(arr.size for _, arr in self.named())
+    def map(self, fn) -> "MaskNetParams":
+        return MaskNetParams(*(fn(arr) for _, arr in self.named()))
 
 
 @dataclass
@@ -84,26 +81,23 @@ def init_masknet(d: int, d_prime: int = 128, hidden: int = 64,
     )
 
 
-def _score_edges(pv: dict, x: ad.Var, src: np.ndarray, dst: np.ndarray) -> ad.Var:
-    z = ad.relu(x @ ad.transpose(pv["proj_w"]) + pv["proj_b"])
+def _score_edges(pv: MaskNetParams, x: ad.Var, src: np.ndarray,
+                 dst: np.ndarray) -> ad.Var:
+    z = ad.relu(x @ ad.transpose(pv.proj_w) + pv.proj_b)
     pair = ad.concat([ad.gather_rows(z, src), ad.gather_rows(z, dst)], axis=1)
-    h = ad.relu(pair @ ad.transpose(pv["mlp_w1"]) + pv["mlp_b1"])
-    logit = h @ ad.transpose(pv["mlp_w2"]) + pv["mlp_b2"]
+    h = ad.relu(pair @ ad.transpose(pv.mlp_w1) + pv.mlp_b1)
+    logit = h @ ad.transpose(pv.mlp_w2) + pv.mlp_b2
     return ad.sigmoid(ad.reshape(logit, (-1,)))
-
-
-def _param_vars(p: MaskNetParams, track: bool) -> dict:
-    wrap = ad.param if track else ad.constant
-    return {name: wrap(arr) for name, arr in p.named()}
 
 
 def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
                      track: bool = True):
     """Tape version of the scorer for gradient computation.
 
-    Returns (mask_var, scorable, param_vars): mask_var is the full-length
-    mask with constant ones at self-loop positions. Requires self-loops to
-    sit in a contiguous tail, which is how enriched edge lists are built.
+    Returns (mask_var, scorable, pv): mask_var is the full-length mask with
+    constant ones at self-loop positions, pv the MaskNetParams of parameter
+    Vars. Requires self-loops to sit in a contiguous tail, which is how
+    enriched edge lists are built.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src, dst = edges[:, 0], edges[:, 1]
@@ -111,7 +105,7 @@ def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
     k = int(scorable.sum())
     if k and not scorable[:k].all():
         raise ValueError("self-loops must form a contiguous tail")
-    pv = _param_vars(p, track)
+    pv = ad.param_vars(p, track)
     x = ad.constant(X)
     scores = _score_edges(pv, x, src[:k], dst[:k])
     if k < edges.shape[0]:
@@ -131,7 +125,7 @@ def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask
     scorable = src != dst
     values = np.ones(edges.shape[0])
     if scorable.any():
-        pv = _param_vars(p, track=False)
+        pv = ad.param_vars(p, track=False)
         scores = _score_edges(pv, ad.constant(X), src[scorable], dst[scorable])
         values[scorable] = scores.data
     return EdgeMask(values=values, scorable=scorable)

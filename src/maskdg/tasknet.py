@@ -57,7 +57,7 @@ class HeadParams:
 
 
 @dataclass
-class TaskNetParams:
+class TaskNetParams(ad.Params):
     layers: List[List[HeadParams]]
     out_w: np.ndarray
 
@@ -71,15 +71,12 @@ class TaskNetParams:
         out.append(("out_w", self.out_w))
         return out
 
-    def copy(self) -> "TaskNetParams":
+    def map(self, fn) -> "TaskNetParams":
         return TaskNetParams(
-            layers=[[HeadParams(h.W.copy(), h.a.copy(), h.w.copy())
-                     for h in heads] for heads in self.layers],
-            out_w=self.out_w.copy(),
+            layers=[[HeadParams(fn(h.W), fn(h.a), fn(h.w)) for h in heads]
+                    for heads in self.layers],
+            out_w=fn(self.out_w),
         )
-
-    def num_params(self) -> int:
-        return sum(arr.size for _, arr in self.named())
 
 
 def init_tasknet(d: int, num_classes: int, cfg: TaskNetConfig,
@@ -105,101 +102,169 @@ def init_tasknet(d: int, num_classes: int, cfg: TaskNetConfig,
     return TaskNetParams(layers=layers, out_w=out_w)
 
 
-def param_vars(p: TaskNetParams, track: bool) -> dict:
-    wrap = ad.param if track else ad.constant
-    return {name: wrap(arr) for name, arr in p.named()}
+class EdgeSegments:
+    """An edge list sorted by destination (CSR), for segment reductions.
+
+    Sums and maxima over each node's in-edges are one np.add.reduceat /
+    np.maximum.reduceat along the edge axis, which is axis -3 of every
+    (..., E, H, F) edge tensor. The sort is stable, so a node's in-edges keep
+    their input order and its sums do not depend on how nodes are numbered.
+    """
+
+    def __init__(self, edges: np.ndarray, num_nodes: int):
+        edges = np.asarray(edges, dtype=np.int64)
+        src, dst = edges[:, 0], edges[:, 1]
+        deg = np.bincount(dst, minlength=num_nodes)
+        if (deg == 0).any():
+            raise ValueError(
+                f"node {int(np.argmin(deg))} has no incoming edges: attention "
+                f"softmax over an empty set (enable self-loops)"
+            )
+        self.order = ad.stable_order(dst, num_nodes)
+        self.src, self.dst = src[self.order], dst[self.order]
+        self.starts = np.cumsum(deg) - deg
+        self.num_nodes = num_nodes
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-destination sums: (..., E, H, F) -> (..., N, H, F)."""
+        return np.add.reduceat(x, self.starts, axis=-3)
+
+    def softmax(self, e: np.ndarray) -> np.ndarray:
+        """Stable softmax of (..., E, H, 1) edge logits over each node's
+        in-edges."""
+        shift = np.maximum.reduceat(e, self.starts, axis=-3)
+        ex = np.exp(e - shift[..., self.dst, :, :])
+        return ex / self.sum(ex)[..., self.dst, :, :]
 
 
 def edge_softmax(logits: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
     """Numerically stable softmax of edge logits grouped by destination node."""
-    shift = np.full(num_nodes, -np.inf)
-    np.maximum.at(shift, dst, logits)
-    ex = np.exp(logits - shift[dst])
-    denom = np.zeros(num_nodes)
-    np.add.at(denom, dst, ex)
-    return ex / denom[dst]
+    seg = EdgeSegments(np.stack([dst, dst], axis=1), num_nodes)
+    alpha = np.empty(seg.order.size)
+    alpha[seg.order] = seg.softmax(
+        np.asarray(logits, dtype=np.float64)[seg.order, None, None])[:, 0, 0]
+    return alpha
 
 
-def _check_in_edges(dst: np.ndarray, num_nodes: int) -> None:
-    deg = np.bincount(dst, minlength=num_nodes)
-    if (deg == 0).any():
-        node = int(np.argmin(deg))
-        raise ValueError(
-            f"node {node} has no incoming edges: attention softmax over an "
-            f"empty set (enable self-loops)"
-        )
+def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
+              seg: EdgeSegments, activation: str, final: bool,
+              keep: Optional[np.ndarray] = None, layer: int = 0) -> ad.Var:
+    """All heads of one mask-aware attention layer as a single tape op with
+    a hand-written VJP.
+
+    h: (..., N, D) input; mask: (..., E) in input edge order, where a leading
+    mask-batch axis is carried through (forward only); keep: (H, E) attention
+    dropout scale or None. Hidden layers return the (..., N, H*d_h) concat
+    of the activated heads, the final layer their mean. Raises
+    NonFiniteError naming `layer` and the first head whose sums went
+    non-finite.
+    """
+    H, d_h = len(heads), heads[0].W.data.shape[0]
+    W = np.concatenate([hp.W.data for hp in heads])           # (H d_h, D)
+    a = np.stack([hp.a.data for hp in heads])                 # (H, 2 d_h + 1)
+    w = np.concatenate([hp.w.data for hp in heads])           # (H,)
+    P = np.stack([a[:, :d_h], a[:, d_h:2 * d_h]], axis=-1)    # (H, d_h, 2)
+    c = (a[:, 2 * d_h] * w)[:, None]                          # (H, 1)
+
+    x = h.data
+    z = (x @ W.T).reshape(x.shape[:-1] + (H, d_h))            # (..., N, H, d_h)
+    # Source and destination scores of every node and head: (..., N, H, 2).
+    s = np.swapaxes(np.swapaxes(z, -2, -3) @ P, -2, -3)
+    m = mask.data[..., seg.order, None, None]                 # (..., E, 1, 1)
+    raw = s[..., seg.src, :, :1] + s[..., seg.dst, :, 1:] + m * c
+    slope = np.where(raw > 0, 1.0, LEAKY_SLOPE)
+    alpha = seg.softmax(raw * slope)                          # (..., E, H, 1)
+    keep = 1.0 if keep is None else keep.T[seg.order, :, None]
+    kept = alpha * keep
+    coef = m * kept
+    z_src = z[..., seg.src, :, :]                             # (..., E, H, d_h)
+    agg = seg.sum(coef * z_src)                               # (..., N, H, d_h)
+    if not np.isfinite(agg.sum()):      # any non-finite entry shows in the sum
+        bad = ~np.isfinite(agg.reshape(-1, H, d_h)).all(axis=(0, 2))
+        if bad.any():
+            raise NonFiniteError(layer=layer, head=int(np.argmax(bad)))
+    pos = agg > 0
+    if activation == "elu":
+        neg = np.expm1(np.minimum(agg, 0.0))
+        out, dact = np.where(pos, agg, neg), np.where(pos, 1.0, neg + 1.0)
+    else:
+        out, dact = agg * pos, pos
+    out = (out.sum(axis=-2) * (1.0 / H) if final
+           else out.reshape(out.shape[:-2] + (H * d_h,)))
+
+    params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
+    want_params = any(v.requires_grad for v in params)
+    if not (want_params or h.requires_grad or mask.requires_grad):
+        return ad.Var(out)
+
+    def vjp(g):
+        g = g[:, None, :] * (1.0 / H) if final else g.reshape(agg.shape)
+        g_msg = (g * dact)[seg.dst]                           # (E, H, d_h)
+        g_coef = (g_msg * z_src).sum(axis=-1, keepdims=True)  # (E, H, 1)
+        g_alpha = g_coef * m * keep
+        g_raw = alpha * (g_alpha - seg.sum(g_alpha * alpha)[seg.dst]) * slope
+        grads = []
+        if mask.requires_grad:
+            g_m = np.empty(m.shape[0])
+            g_m[seg.order] = (g_coef * kept + g_raw * c).sum(axis=(1, 2))
+            grads.append((mask, g_m))
+        if not (want_params or h.requires_grad):
+            return grads
+        by_src = ad.sum_rows(np.concatenate([g_msg * coef, g_raw], axis=-1),
+                             seg.src, seg.num_nodes)          # (N, H, d_h + 1)
+        g_s = np.stack([by_src[..., d_h], seg.sum(g_raw)[..., 0]], axis=-1)
+        g_z = by_src[..., :d_h] + np.swapaxes(
+            np.swapaxes(g_s, 0, 1) @ np.swapaxes(P, 1, 2), 0, 1)
+        g_z = g_z.reshape(x.shape[0], H * d_h)
+        if h.requires_grad:
+            grads.append((h, g_z @ W))
+        if want_params:
+            g_W = g_z.T @ x
+            g_P = np.swapaxes(z, 0, 1).transpose(0, 2, 1) @ np.swapaxes(g_s, 0, 1)
+            g_c = (g_raw * m).sum(axis=(0, 2))
+            for k, hp in enumerate(heads):
+                grads += [(hp.W, g_W[k * d_h:(k + 1) * d_h]),
+                          (hp.a, np.concatenate([g_P[k, :, 0], g_P[k, :, 1],
+                                                 g_c[k] * w[k:k + 1]])),
+                          (hp.w, g_c[k] * a[k, 2 * d_h:])]
+        return grads
+
+    return ad.Var(out, parents=(h, mask, *params), vjp=vjp)
 
 
-def tasknet_forward_var(pv: dict, X: np.ndarray, edges: np.ndarray,
+def _forward(pv: TaskNetParams, X: np.ndarray, seg: EdgeSegments,
+             mask: ad.Var, cfg: TaskNetConfig,
+             dropout_rng: Optional[np.random.Generator]) -> ad.Var:
+    h = ad.constant(X)
+    for l, heads in enumerate(pv.layers):
+        final = l == len(pv.layers) - 1
+        keep = None
+        if dropout_rng is not None and cfg.attn_dropout > 0:
+            keep = ad.dropout_keep(dropout_rng, (len(heads), seg.src.size),
+                                   cfg.attn_dropout)
+        h = gat_layer(h, heads, mask, seg, cfg.activation, final, keep, l)
+        if dropout_rng is not None and not final:
+            h = ad.dropout(h, cfg.layer_dropout, dropout_rng)
+    return h @ ad.transpose(pv.out_w)
+
+
+def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                         mask: ad.Var, cfg: TaskNetConfig,
                         dropout_rng: Optional[np.random.Generator] = None) -> ad.Var:
     """Tape forward pass producing (N, C) logits.
 
-    `pv` comes from param_vars(); `mask` is a full-length Var aligned to
+    `pv` comes from ad.param_vars(); `mask` is a full-length Var aligned to
     `edges`. Passing dropout_rng=None means evaluation mode.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    src, dst = edges[:, 0], edges[:, 1]
-    n = X.shape[0]
-    _check_in_edges(dst, n)
-    d_h = pv["out_w"].data.shape[1]
-    num_layers = 0
-    while f"layer{num_layers}.head0.W" in pv:
-        num_layers += 1
-    num_heads = 0
-    while f"layer0.head{num_heads}.W" in pv:
-        num_heads += 1
-
-    act = ad.elu if cfg.activation == "elu" else ad.relu
-    mask_col = ad.reshape(mask, (-1, 1))
-    h = ad.constant(X)
-    for l in range(num_layers):
-        final = l == num_layers - 1
-        head_outputs = []
-        for k in range(num_heads):
-            W = pv[f"layer{l}.head{k}.W"]
-            a = pv[f"layer{l}.head{k}.a"]
-            w = pv[f"layer{l}.head{k}.w"]
-            z = h @ ad.transpose(W)
-            z_src = ad.gather_rows(z, src)
-            z_dst = ad.gather_rows(z, dst)
-            a_src = ad.slice1d(a, 0, d_h)
-            a_dst = ad.slice1d(a, d_h, 2 * d_h)
-            a_m = ad.slice1d(a, 2 * d_h, 2 * d_h + 1)
-            logits = ad.leaky_relu(
-                z_src @ a_src + z_dst @ a_dst + a_m * w * mask,
-                LEAKY_SLOPE,
-            )
-            shift = np.full(n, -np.inf)
-            np.maximum.at(shift, dst, logits.data)
-            ex = ad.exp(logits - ad.constant(shift[dst]))
-            denom = ad.segment_sum(ex, dst, n)
-            alpha = ex / ad.gather_rows(denom, dst)
-            if dropout_rng is not None and cfg.attn_dropout > 0:
-                alpha = ad.dropout(alpha, cfg.attn_dropout, dropout_rng)
-            msgs = (mask_col * ad.reshape(alpha, (-1, 1))) * z_src
-            agg = ad.segment_sum(msgs, dst, n)
-            if not np.isfinite(agg.data).all():
-                raise NonFiniteError(layer=l, head=k)
-            head_outputs.append(act(agg))
-        if final:
-            total = head_outputs[0]
-            for extra in head_outputs[1:]:
-                total = total + extra
-            h = total * (1.0 / num_heads)
-        else:
-            h = ad.concat(head_outputs, axis=1)
-            if dropout_rng is not None and cfg.layer_dropout > 0:
-                h = ad.dropout(h, cfg.layer_dropout, dropout_rng)
-    return h @ ad.transpose(pv["out_w"])
+    return _forward(pv, X, EdgeSegments(edges, X.shape[0]), mask, cfg,
+                    dropout_rng)
 
 
 def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     mask_values: np.ndarray, cfg: TaskNetConfig) -> np.ndarray:
     """Evaluation-mode logits as a plain array (no dropout, no gradients)."""
-    pv = param_vars(p, track=False)
-    out = tasknet_forward_var(pv, X, edges, ad.constant(mask_values), cfg,
-                              dropout_rng=None)
+    out = tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
+                              ad.constant(mask_values), cfg, dropout_rng=None)
     return out.data
 
 
@@ -215,64 +280,39 @@ def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
     return ad.vmean(lse - picked)
 
 
+def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean negative log-likelihood over labeled nodes of (..., N, C) logits,
+    one value per leading batch index."""
+    labels = np.asarray(labels, dtype=np.int64)
+    keep = np.flatnonzero(labels != UNLABELED)
+    if keep.size == 0:
+        raise ValueError("cross entropy undefined: no labeled nodes")
+    sub = np.asarray(logits, dtype=np.float64)[..., keep, :]
+    mx = sub.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(sub - mx).sum(axis=-1)) + mx[..., 0]
+    return (lse - sub[..., np.arange(keep.size), labels[keep]]).mean(axis=-1)
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(cross_entropy_var(ad.constant(logits), labels).data)
+    return float(_mean_nll(logits, labels))
+
+
+# Byte budget of the widest per-chunk edge tensor in loss_over_masks: large
+# mask batches run in row chunks so that peak memory stays flat.
+_CHUNK_BYTES = 1 << 20
 
 
 def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     labels: np.ndarray, masks: np.ndarray,
                     cfg: TaskNetConfig) -> np.ndarray:
-    """Cross-entropy for a whole batch of full-length masks at once.
-
-    Vectorized evaluation-mode forward used by the grid-search oracles;
-    agrees with tasknet_forward per row (covered by tests).
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    src, dst = edges[:, 0], edges[:, 1]
-    n = X.shape[0]
-    _check_in_edges(dst, n)
-    masks = np.asarray(masks, dtype=np.float64)
-    if masks.ndim == 1:
-        masks = masks[None, :]
-    B = masks.shape[0]
-    d_h = p.out_w.shape[1]
-    num_heads = len(p.layers[0])
-
-    labels = np.asarray(labels, dtype=np.int64)
-    keep = np.flatnonzero(labels != UNLABELED)
-    if keep.size == 0:
-        raise ValueError("cross entropy undefined: no labeled nodes")
-
-    def activate(x):
-        if cfg.activation == "elu":
-            return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-        return np.maximum(x, 0.0)
-
-    h = np.broadcast_to(X, (B,) + X.shape)
-    for l, heads in enumerate(p.layers):
-        final = l == len(p.layers) - 1
-        outs = []
-        for hp in heads:
-            z = h @ hp.W.T                               # (B, N, d_h)
-            z_src, z_dst = z[:, src, :], z[:, dst, :]
-            a_src, a_dst, a_m = hp.a[:d_h], hp.a[d_h:2 * d_h], hp.a[2 * d_h]
-            e = z_src @ a_src + z_dst @ a_dst + a_m * hp.w[0] * masks
-            e = np.where(e > 0, e, LEAKY_SLOPE * e)
-            shift = np.full((B, n), -np.inf)
-            np.maximum.at(shift, (slice(None), dst), e)
-            ex = np.exp(e - shift[:, dst])
-            denom = np.zeros((B, n))
-            np.add.at(denom, (slice(None), dst), ex)
-            alpha = ex / denom[:, dst]
-            msgs = (masks * alpha)[:, :, None] * z_src
-            agg = np.zeros((B, n, d_h))
-            np.add.at(agg, (slice(None), dst), msgs)
-            outs.append(activate(agg))
-        h = np.mean(outs, axis=0) if final else np.concatenate(outs, axis=2)
-    logits = h @ p.out_w.T                               # (B, N, C)
-    sub = logits[:, keep, :]
-    mx = sub.max(axis=2, keepdims=True)
-    lse = np.log(np.exp(sub - mx).sum(axis=2)) + mx[:, :, 0]
-    picked = np.take_along_axis(sub, labels[keep][None, :, None],
-                                axis=2)[:, :, 0]
-    return (lse - picked).mean(axis=1)
+    """Evaluation-mode cross-entropy for each row of a (B, E) mask batch,
+    through the same layer as tasknet_forward, in fixed-size row chunks."""
+    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
+    seg = EdgeSegments(edges, X.shape[0])
+    pv = ad.param_vars(p, track=False)
+    width = len(p.layers[0]) * p.out_w.shape[1]
+    rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))
+    return np.concatenate([
+        _mean_nll(_forward(pv, X, seg, ad.constant(masks[i:i + rows]), cfg,
+                           None).data, labels)
+        for i in range(0, masks.shape[0], rows)])

@@ -267,15 +267,14 @@ def masknet_gradient_identity(task: TaskNetParams, maskp: MaskNetParams,
 
     mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
     m = int(scorable.sum())
-    names = [name for name, _ in maskp.named()]
     jac = {name: np.zeros((m,) + arr.shape) for name, arr in maskp.named()}
     for e in range(m):
         seed = np.zeros(mask_var.data.shape)
         seed[e] = 1.0
         mask_var.backward(seed)
-        for name in names:
-            if mpv[name].grad is not None:
-                jac[name][e] = mpv[name].grad
+        for name, v in mpv.named():
+            if v.grad is not None:
+                jac[name][e] = v.grad
     coeff = -direct.mask_grad[:m] + lam / m
     worst = 0.0
     for name, _ in maskp.named():

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+from maskdg import autodiff as ad
+from maskdg import tasknet
+from maskdg.gradients import finite_diff_check, grad_tasknet
 from maskdg.graph import EdgeOrigin, make_edges
 from maskdg.tasknet import (
+    EdgeSegments,
+    HeadParams,
+    NonFiniteError,
     TaskNetConfig,
     TaskNetParams,
     cross_entropy,
     edge_softmax,
+    gat_layer,
     init_tasknet,
     loss_over_masks,
     tasknet_forward,
+    tasknet_forward_var,
 )
 
 rng = np.random.default_rng(42)
@@ -275,3 +283,130 @@ def test_loss_over_masks_agrees_with_single_forward():
         logits = tasknet_forward(p, X, edges, masks[i], cfg)
         np.testing.assert_allclose(batched[i], cross_entropy(logits, labels),
                                    rtol=1e-12)
+
+
+def test_loss_over_masks_rows_do_not_depend_on_chunking(monkeypatch):
+    cfg = TaskNetConfig(layers=2, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=8)
+    n = 5
+    X = np.random.default_rng(4).normal(size=(n, 3))
+    edges = graph_with_loops([(0, 1), (1, 2), (3, 4), (4, 0)], n)
+    labels = np.array([0, 1, 0, 1, -1])
+    masks = np.random.default_rng(13).uniform(size=(40, edges.shape[0]))
+    masks[:, -n:] = 1.0
+    row_bytes = 8 * edges.shape[0] * cfg.heads * cfg.head_dim
+    assert tasknet._CHUNK_BYTES // row_bytes > 40     # one chunk
+    whole = loss_over_masks(p, X, edges, labels, masks, cfg)
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 7 * row_bytes)
+    chunked = loss_over_masks(p, X, edges, labels, masks, cfg)   # 6 chunks
+    np.testing.assert_array_equal(chunked, whole)
+    for i in range(masks.shape[0]):
+        single = cross_entropy(tasknet_forward(p, X, edges, masks[i], cfg),
+                               labels)
+        assert abs(whole[i] - single) <= 1e-12
+
+
+# -- the fused layer's hand-written gradient ------------------------------------
+
+@pytest.mark.parametrize("activation,final,dropout", [
+    ("elu", False, False), ("elu", True, True),
+    ("relu", False, True), ("relu", True, False)])
+def test_gat_layer_vjp_matches_finite_differences(activation, final, dropout):
+    r = np.random.default_rng(21)
+    n, d, H, d_h = 6, 4, 3, 2
+    # node 5's only in-edge is its self-loop
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (3, 1), (4, 3),
+                              (0, 4), (5, 2), (2, 3)], n)
+    E = edges.shape[0]
+    arrays = {"x": r.normal(size=(n, d)), "mask": r.uniform(size=E)}
+    for k in range(H):
+        arrays[f"W{k}"] = r.normal(size=(d_h, d))
+        arrays[f"a{k}"] = r.normal(size=2 * d_h + 1)
+        arrays[f"w{k}"] = r.normal(size=1)
+    keep = ad.dropout_keep(np.random.default_rng(3), (H, E), 0.4) \
+        if dropout else None
+    seg = EdgeSegments(edges, n)
+    out_dim = d_h if final else H * d_h
+    weight = r.normal(size=(n, out_dim))
+
+    def loss(wrap):
+        v = {name: wrap(arr) for name, arr in arrays.items()}
+        heads = [HeadParams(v[f"W{k}"], v[f"a{k}"], v[f"w{k}"])
+                 for k in range(H)]
+        out = gat_layer(v["x"], heads, v["mask"], seg, activation, final,
+                        keep)
+        return ad.vsum(out * ad.constant(weight)), v
+
+    total, v = loss(ad.param)
+    total.backward()
+    analytic = {name: var.grad for name, var in v.items()}
+    report = finite_diff_check(lambda: float(loss(ad.constant)[0].data),
+                               list(arrays.items()), analytic, h=1e-5,
+                               tol=1e-6)
+    assert report.passed, list(report.lines())
+
+
+def test_network_gradient_with_dropout_matches_finite_differences():
+    cfg = TaskNetConfig(layers=2, heads=2, head_dim=3,
+                        attn_dropout=0.3, layer_dropout=0.2)
+    p = small_params(4, 3, cfg, seed=6)
+    n = 6
+    r = np.random.default_rng(7)
+    X = r.normal(size=(n, 4))
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], n)
+    mask = r.uniform(size=edges.shape[0])
+    labels = np.array([0, 1, 2, 0, -1, 1])
+    bundle = grad_tasknet(p, X, edges, mask, labels, cfg,
+                          np.random.default_rng(11))
+
+    def loss_fn():
+        logits = tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
+                                     ad.constant(mask), cfg,
+                                     np.random.default_rng(11))
+        return cross_entropy(logits.data, labels)
+
+    report = finite_diff_check(loss_fn, p.named(), bundle.grads, h=1e-5,
+                               tol=1e-6)
+    assert report.passed, list(report.lines())
+
+
+def test_dropout_draws_match_per_head_sequential_draws():
+    # One (H, E) attention-dropout draw per layer equals H successive (E,)
+    # draws, and a hidden layer then draws its (N, H*d_h) layer dropout:
+    # the rng stream is the same as drawing head by head.
+    cfg = TaskNetConfig(layers=2, heads=3, head_dim=2,
+                        attn_dropout=0.5, layer_dropout=0.5)
+    p = small_params(3, 2, cfg, seed=2)
+    n = 4
+    X = np.random.default_rng(1).normal(size=(n, 3))
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 3)], n)
+    E = edges.shape[0]
+    ours = np.random.default_rng(99)
+    tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
+                        ad.constant(np.ones(E)), cfg, ours)
+    ref = np.random.default_rng(99)
+    for layer in range(cfg.layers):
+        for _ in range(cfg.heads):
+            ref.random(E)
+        if layer < cfg.layers - 1:
+            ref.random((n, cfg.heads * cfg.head_dim))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    np.testing.assert_array_equal(a.random((3, E)),
+                                  np.stack([b.random(E) for _ in range(3)]))
+
+
+# -- non-finite values --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_weight_is_reported_at_its_layer_and_head(bad):
+    cfg = TaskNetConfig(layers=3, heads=4, head_dim=2,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=5)
+    p.layers[1][2].W[0, 1] = bad
+    X = np.random.default_rng(0).normal(size=(4, 3))
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+        tasknet_forward(p, X, edges, np.ones(edges.shape[0]), cfg)
+    assert (info.value.layer, info.value.head) == (1, 2)

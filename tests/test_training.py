@@ -212,6 +212,30 @@ def test_nonfinite_loss_aborts_with_context():
         train(ds, cfg)
 
 
+def test_nonfinite_weight_aborts_naming_epoch_domain_layer_and_head(
+        monkeypatch):
+    from maskdg import training
+    from maskdg.tasknet import NonFiniteError
+
+    real_init = training.init_tasknet
+
+    def poisoned_init(*args, **kwargs):
+        p = real_init(*args, **kwargs)
+        p.layers[1][2].W[0, 0] = np.nan
+        return p
+
+    monkeypatch.setattr(training, "init_tasknet", poisoned_init)
+    cfg = small_cfg(tasknet=TaskNetConfig(layers=2, heads=3, head_dim=2,
+                                          attn_dropout=0.0,
+                                          layer_dropout=0.0))
+    with pytest.raises(RuntimeError, match="epoch 0, domain 'a'") as info:
+        train(two_domain_dataset(), cfg)
+    cause = info.value.__cause__
+    assert isinstance(cause, NonFiniteError)
+    assert (cause.layer, cause.head) == (1, 2)
+    assert "layer 1, head 2" in str(info.value)
+
+
 def _step_fixture():
     g = toy_graph(20, n=12)
     from maskdg.enrich import Enricher
@@ -448,6 +472,20 @@ def test_checkpoint_bytes_are_run_independent(tmp_path):
     save_checkpoint(p1, train(ds, cfg).model)
     save_checkpoint(p2, train(ds, cfg).model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_bytes_with_dropout_are_run_independent(tmp_path):
+    ds = two_domain_dataset()
+    cfg = small_cfg(epochs=2, tasknet=TaskNetConfig(
+        layers=2, heads=2, head_dim=4, attn_dropout=0.4, layer_dropout=0.3))
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(p1, train(ds, cfg).model)
+    save_checkpoint(p2, train(ds, cfg).model)
+    assert p1.read_bytes() == p2.read_bytes()
+    nodrop = tmp_path / "c.ckpt"
+    save_checkpoint(nodrop, train(ds, small_cfg(epochs=2)).model)
+    assert load_checkpoint(p1).task.out_w.tobytes() != \
+        load_checkpoint(nodrop).task.out_w.tobytes()
 
 
 def test_config_roundtrip_through_dict():
