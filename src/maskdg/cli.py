@@ -35,8 +35,9 @@ from .theory import (SurrogateProblem, dual_upper_bound, iter_mask_grid,
                      surrogate_kkt_instance, surrogate_optimal_mask,
                      tasknet_mask_loss_fn)
 from .training import (TrainConfig, ablate_2x2, ablate_lambda, config_from_dict,
-                       config_to_dict, evaluate, load_checkpoint,
-                       mask_statistics, save_checkpoint, train)
+                       config_to_dict, evaluate, inference_graph,
+                       load_checkpoint, mask_statistics, save_checkpoint,
+                       train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -127,6 +128,16 @@ def read_graph_arg(spec: str) -> Graph:
     return load_graph(path)
 
 
+def _check_enrichable(cfg: EnrichConfig, graphs) -> None:
+    """Reject, before any work starts, a graph the enrichment config cannot
+    be applied to."""
+    for g in graphs:
+        try:
+            cfg.check_graph(g)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
 # -- manifest / artifacts -----------------------------------------------------
 
 def _json_bytes(obj) -> bytes:
@@ -198,9 +209,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_enrich(args) -> int:
+    try:
+        cfg = EnrichConfig(k=args.k, clusters=args.clusters,
+                           gamma_knn=args.gamma_knn, gamma_spec=args.gamma_spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad enrichment settings: {exc}") from None
     g = read_graph_arg(args.graph)
-    cfg = EnrichConfig(k=args.k, clusters=args.clusters,
-                       gamma_knn=args.gamma_knn, gamma_spec=args.gamma_spec)
+    _check_enrichable(cfg, [g])
     ctx = RunContext(args.out, "enrich",
                      {"enrich": dataclasses.asdict(cfg), "graph": args.graph},
                      args.seed)
@@ -221,15 +236,16 @@ def cmd_enrich(args) -> int:
     return EXIT_OK
 
 
-def _load_sources_target(args):
+def _load_sources_target(args, cfg: TrainConfig) -> DomainDataset:
     sources = tuple(read_graph_arg(s) for s in args.source)
     target = read_graph_arg(args.target) if args.target else None
+    _check_enrichable(cfg.enrich, sources + ((target,) if target else ()))
     return DomainDataset(source_graphs=sources, target_graph=target)
 
 
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
-    ds = _load_sources_target(args)
+    ds = _load_sources_target(args, cfg)
     ctx = RunContext(args.out, "train", config_to_dict(cfg), cfg.seed,
                      artifacts=["model.ckpt", "history.csv", "metrics.json",
                                 "mask_dump.csv"])
@@ -246,8 +262,7 @@ def cmd_train(args) -> int:
     metrics = {"final_lambda": result.model.final_lambda,
                "checkpoint": ckpt.name}
     g0 = ds.source_graphs[0]
-    rng = np.random.default_rng(cfg.seed)
-    enriched = Enricher(g0, cfg.enrich, rng).sample(rng)
+    enriched = inference_graph(cfg, g0)
     mask = mask_forward(result.model.mask, g0.features, enriched.enriched_edges)
     dump_mask_csv(ctx.out / "mask_dump.csv", enriched.enriched_edges, mask)
     metrics["mask_stats"] = mask_statistics(enriched, mask).to_dict()
@@ -267,6 +282,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(Path(args.checkpoint))
     g = read_graph_arg(args.graph)
+    _check_enrichable(model.cfg.enrich, [g])
     ctx = RunContext(args.out, "eval",
                      {"checkpoint": args.checkpoint, "graph": args.graph},
                      model.cfg.seed)
@@ -281,7 +297,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_lambda(args) -> int:
     cfg = resolve_train_config(args)
-    ds = _load_sources_target(args)
+    ds = _load_sources_target(args, cfg)
     grid = [float(x) for x in args.grid.split(",")]
     ctx = RunContext(args.out, "ablate-lambda",
                      {"train": config_to_dict(cfg), "grid": grid}, cfg.seed)
@@ -300,7 +316,7 @@ def cmd_ablate_lambda(args) -> int:
 
 def cmd_ablate_2x2(args) -> int:
     cfg = resolve_train_config(args)
-    ds = _load_sources_target(args)
+    ds = _load_sources_target(args, cfg)
     ctx = RunContext(args.out, "ablate-2x2", config_to_dict(cfg), cfg.seed)
     rows = ablate_2x2(ds, cfg)
     ctx.write_json("ablation_2x2.json", {"rows": rows})

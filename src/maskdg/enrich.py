@@ -43,6 +43,21 @@ class EnrichConfig:
                 and self.kernel_bandwidth > 0):
             raise ValueError("kernel_bandwidth must be 'median' or positive")
 
+    def check_graph(self, g: Graph) -> None:
+        """Raise ValueError unless `g` can be enriched with this config: the
+        kNN set needs k < N, the spectral set clusters <= N and N within
+        the dense eigensolver cap."""
+        n, name = g.num_nodes, g.domain_id
+        if self.gamma_knn > 0 and self.k >= n:
+            raise ValueError(f"graph {name!r} has {n} nodes; kNN needs "
+                             f"k < {n}, got k={self.k}")
+        if self.gamma_spec > 0 and self.clusters > n:
+            raise ValueError(f"graph {name!r} has {n} nodes, fewer than "
+                             f"the {self.clusters} spectral clusters")
+        if self.gamma_spec > 0 and n > self.solver_cap:
+            raise ValueError(f"graph {name!r} has {n} nodes, more than the "
+                             f"dense eigensolver cap ({self.solver_cap})")
+
 
 @dataclass(frozen=True)
 class EnrichedGraph:
@@ -69,7 +84,10 @@ def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
     """Directed edges (i, j) to each node's k most cosine-similar peers.
 
     Ties break toward the lowest index; all-zero feature rows have
-    similarity 0 to everything.
+    similarity 0 to everything. Each row's k-th best similarity comes from
+    a partition, not a full sort: every strictly better column is kept,
+    plus the lowest-index ties at that value, and the k survivors are
+    ordered by (-similarity, column).
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -84,20 +102,73 @@ def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
     sim[norms == 0, :] = 0.0
     sim[:, norms == 0] = 0.0
     np.fill_diagonal(sim, -np.inf)
-    # stable ties: sort by (-similarity, column index)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((cols, -sim), axis=1)
-    targets = order[:, :k]
-    src = np.repeat(np.arange(n), k)
+    kth = np.partition(sim, n - k, axis=1)[:, n - k, None]
+    better = sim > kth
+    ties = sim == kth
+    room = k - better.sum(axis=1, keepdims=True)
+    keep = better | (ties & (np.cumsum(ties, axis=1) <= room))
+    src, cols = np.nonzero(keep)               # k per row, row-major
+    neg_sim = -sim[src, cols].reshape(n, k)
+    cols = cols.reshape(n, k)
+    targets = np.take_along_axis(cols, np.lexsort((cols, neg_sim), axis=1),
+                                 axis=1)
     return make_edges(np.column_stack([src, targets.reshape(-1)]),
                       EdgeOrigin.KNN)
 
 
-def _median_pairwise_distance(X: np.ndarray) -> float:
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    iu = np.triu_indices(X.shape[0], k=1)
-    return float(np.median(dist[iu]))
+# Budget for the (rows, M, d) difference tensor of one distance block.
+_BLOCK_BYTES = 4 * 2 ** 20
+
+
+def _pairwise_sq_distances(X: np.ndarray, Y: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+    """(N, M) squared Euclidean distances from the rows of X to those of Y
+    (default X), by direct differences over row blocks of X.
+
+    Bit-identical to the one-shot (N, M, d) broadcast, whose temporary the
+    blocks bound to _BLOCK_BYTES. The Gram form |x|^2 + |y|^2 - 2x.y is
+    avoided on purpose: its rounding moves distances by ~1e-15 relative,
+    enough to change k-means assignments.
+    """
+    Y = X if Y is None else Y
+    out = np.empty((X.shape[0], Y.shape[0]))
+    rows = max(1, _BLOCK_BYTES // (8 * Y.shape[0] * max(X.shape[1], 1)))
+    for i in range(0, X.shape[0], rows):
+        out[i:i + rows] = ((X[i:i + rows, None, :] - Y[None, :, :]) ** 2
+                           ).sum(axis=2)
+    return out
+
+
+def _median_pairwise_distance(sq: np.ndarray) -> float:
+    """Median distance over the node pairs i < j of a squared-distance
+    matrix."""
+    n = sq.shape[0]
+    upper = sq[np.arange(n)[:, None] < np.arange(n)]
+    np.sqrt(upper, out=upper)
+    return float(np.median(upper, overwrite_input=True))
+
+
+def _normalized_laplacian(X: np.ndarray, bandwidth) -> np.ndarray:
+    """I - D^-1/2 A D^-1/2 for the RBF affinity A of X, built in place in
+    the one (N, N) squared-distance buffer; same bits as the textbook
+    expression."""
+    buf = _pairwise_sq_distances(X)
+    if bandwidth == "median":
+        zeta = _median_pairwise_distance(buf)
+        if zeta <= 0:
+            zeta = 1.0
+    else:
+        zeta = float(bandwidth)
+    np.negative(buf, out=buf)
+    buf /= 2.0 * zeta * zeta
+    np.exp(buf, out=buf)                       # the affinity A
+    inv_sqrt = 1.0 / np.sqrt(buf.sum(axis=1))
+    buf *= inv_sqrt[:, None]
+    buf *= inv_sqrt[None, :]
+    diag = 1.0 - buf.diagonal()
+    np.subtract(0.0, buf, out=buf)             # 0 - a, not -a: keeps +0.0
+    np.fill_diagonal(buf, diag)
+    return buf
 
 
 def _kmeans_pp_init(emb: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,7 +192,7 @@ def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator,
     centers = _kmeans_pp_init(emb, k, rng)
     assign = np.zeros(emb.shape[0], dtype=np.int64)
     for _ in range(max_iter):
-        d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _pairwise_sq_distances(emb, centers)
         new_assign = d2.argmin(axis=1)
         for j in range(k):
             members = new_assign == j
@@ -156,17 +227,7 @@ def spectral_edges(X: np.ndarray, clusters: int,
             f"{n} nodes exceeds the dense eigensolver cap ({solver_cap})"
         )
     rng = rng or np.random.default_rng()
-    if bandwidth == "median":
-        zeta = _median_pairwise_distance(X)
-        if zeta <= 0:
-            zeta = 1.0
-    else:
-        zeta = float(bandwidth)
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    affinity = np.exp(-sq / (2.0 * zeta * zeta))
-    deg = affinity.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
+    lap = _normalized_laplacian(X, bandwidth)
     try:
         eigvals, eigvecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
@@ -241,7 +302,7 @@ class Enricher:
         merged = coalesce(union) if union.size else np.empty((0, 3), np.int64)
         start = merged.shape[0]
         if cfg.add_self_loops:
-            loops = make_edges([(i, i) for i in range(g.num_nodes)],
+            loops = make_edges(np.arange(g.num_nodes).repeat(2).reshape(-1, 2),
                                EdgeOrigin.SELF_LOOP)
             merged = np.vstack([merged, loops]) if merged.size else loops
         return EnrichedGraph(base=g, enriched_edges=merged,

@@ -160,8 +160,13 @@ def coalesce(edges: np.ndarray) -> np.ndarray:
 
 
 def make_edges(pairs: Iterable, origin: EdgeOrigin) -> np.ndarray:
-    """Build an (E, 3) edge array from (src, dst) pairs with one origin tag."""
-    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    """Build an (E, 3) edge array from (src, dst) pairs with one origin tag.
+
+    An ndarray converts directly; only other iterables go through a list.
+    """
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     tags = np.full((arr.shape[0], 1), int(origin), dtype=np.int64)
     return np.hstack([arr, tags])
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .enrich import EnrichConfig, Enricher
+from .enrich import EnrichConfig, EnrichedGraph, Enricher
 from .gradients import grad_masknet, grad_tasknet
 from .graph import UNLABELED, DomainDataset, EdgeOrigin, Graph
 from .masknet import EdgeMask, MaskNetParams, init_masknet, mask_forward
@@ -171,24 +171,29 @@ def _mask_or_ones(model_mask, X, edges, enabled: bool) -> np.ndarray:
     return mask_forward(model_mask, X, edges).values
 
 
+def inference_graph(cfg: TrainConfig, graph: Graph) -> EnrichedGraph:
+    """The deterministic inference edge set of `graph`: the training
+    config's enrichment with every nonzero sampling ratio forced to 1, and
+    the spectral k-means seeded from the config seed."""
+    e_cfg = replace(cfg.enrich,
+                    gamma_knn=1.0 if cfg.enrich.gamma_knn > 0 else 0.0,
+                    gamma_spec=1.0 if cfg.enrich.gamma_spec > 0 else 0.0)
+    rng = np.random.default_rng(cfg.seed)
+    return Enricher(graph, e_cfg, rng).sample(rng)
+
+
 def evaluate(model: TrainedModel, graph: Graph,
              mask_mode: Optional[str] = None) -> Metrics:
-    """Score a graph with dropout off.
+    """Score the inference graph of `graph` with dropout off.
 
-    The graph is enriched with the training config's settings but sampling
-    ratios forced to 1, so inference is deterministic. The mask is all-ones
-    by default; "masknet" applies the trained scorer instead.
+    The mask is all-ones by default; "masknet" applies the trained scorer
+    instead.
     """
     cfg = model.cfg
     mode = mask_mode or cfg.inference_mask_mode
     if not cfg.mask_enabled:
         mode = "all-ones"      # the scorer was never trained
-    e_cfg = replace(cfg.enrich,
-                    gamma_knn=1.0 if cfg.enrich.gamma_knn > 0 else 0.0,
-                    gamma_spec=1.0 if cfg.enrich.gamma_spec > 0 else 0.0)
-    rng = np.random.default_rng(cfg.seed)
-    enriched = Enricher(graph, e_cfg, rng).sample(rng)
-    edges = enriched.enriched_edges
+    edges = inference_graph(cfg, graph).enriched_edges
     if mode == "masknet":
         mask_values = mask_forward(model.mask, graph.features, edges).values
     else:
@@ -212,13 +217,12 @@ def aggregate_metrics(per_domain: Dict[str, Metrics]) -> dict:
     }
 
 
-def tasknet_descent_step(task: TaskNetParams, maskp: MaskNetParams,
+def tasknet_descent_step(task: TaskNetParams, s: np.ndarray,
                          X: np.ndarray, edges: np.ndarray, labels: np.ndarray,
                          cfg: TrainConfig, state: AdamState,
                          dropout_rng: Optional[np.random.Generator] = None) -> float:
-    """One Adam update of the classifier against the current mask, which is
-    recomputed from the scorer and then held constant. Returns the loss."""
-    s = _mask_or_ones(maskp, X, edges, cfg.mask_enabled)
+    """One Adam update of the classifier against the mask values `s`, held
+    constant. Returns the loss."""
     bundle = grad_tasknet(task, X, edges, s, labels, cfg.tasknet, dropout_rng)
     if not np.isfinite(bundle.loss):
         raise FloatingPointError(f"loss={bundle.loss!r}")
@@ -273,9 +277,11 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
             X, labels = g.features, g.labels
             drng = loop_rng if use_dropout else None
             try:
+                # the scorer and the edges are fixed across the descent steps
+                s = _mask_or_ones(maskp, X, edges, cfg.mask_enabled)
                 for _ in range(cfg.n_descent):
                     losses.append(tasknet_descent_step(
-                        task, maskp, X, edges, labels, cfg, task_state, drng))
+                        task, s, X, edges, labels, cfg, task_state, drng))
                     descent_count += 1
                 if cfg.mask_enabled:
                     for _ in range(cfg.n_ascent):
@@ -308,16 +314,11 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
 
 
 def final_mean_mask(model: TrainedModel, graphs: Sequence[Graph]) -> float:
-    """Mean scorable mask value over the full enriched versions of `graphs`."""
-    vals = []
-    e_cfg = replace(model.cfg.enrich,
-                    gamma_knn=1.0 if model.cfg.enrich.gamma_knn > 0 else 0.0,
-                    gamma_spec=1.0 if model.cfg.enrich.gamma_spec > 0 else 0.0)
-    for g in graphs:
-        rng = np.random.default_rng(model.cfg.seed)
-        enriched = Enricher(g, e_cfg, rng).sample(rng)
-        vals.append(mask_forward(model.mask, g.features,
-                                 enriched.enriched_edges).mean_scorable())
+    """Mean scorable mask value over the inference graphs of `graphs`."""
+    vals = [mask_forward(model.mask, g.features,
+                         inference_graph(model.cfg, g).enriched_edges
+                         ).mean_scorable()
+            for g in graphs]
     return float(np.mean(vals))
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from maskdg.cli import main
-from maskdg.graph import load_graph, save_graph
+from maskdg.graph import EdgeOrigin, load_graph, save_graph
 
 
 COMMON = [
@@ -207,3 +207,38 @@ def test_out_env_var_override(domains, tmp_path, monkeypatch):
     rc = main(["oracle", "--surrogate", "--out", "ignored"])
     assert rc == 0
     assert (target / "oracle.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enrich", "--k", "0"],
+    ["enrich", "--k", "40"],
+    ["enrich", "--k", "41"],
+    ["enrich", "--k", "3", "--clusters", "41"],
+    ["train", *COMMON, "--enrich-clusters", "41"],
+    ["train", *COMMON, "--enrich-solver-cap", "39"],
+], ids=["enrich-k-0", "enrich-k-N", "enrich-k-over-N", "enrich-clusters-over-N",
+        "train-clusters-over-N", "train-N-over-solver-cap"])
+def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
+                                               argv):
+    # each synth domain has 40 nodes
+    flag = "--graph" if argv[0] == "enrich" else "--source"
+    rc = main([argv[0], flag, str(domains[0]), *argv[1:],
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()     # rejected before any work
+
+
+def test_mask_dump_describes_the_inference_graph(domains, tmp_path):
+    from maskdg.training import inference_graph, load_checkpoint
+
+    out = tmp_path / "run"
+    assert run_train(domains, out) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    edges = inference_graph(model.cfg, load_graph(domains[0])).enriched_edges
+    rows = [r.split(",") for r in
+            (out / "mask_dump.csv").read_text().splitlines()[1:]]
+    assert [(int(a), int(b), o) for a, b, o, _ in rows] == [
+        (a, b, EdgeOrigin(o).name) for a, b, o in edges.tolist()]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskdg import enrich as enrich_mod
 from maskdg.enrich import (
     EnrichConfig,
     Enricher,
@@ -74,6 +77,94 @@ def test_knn_out_degree_is_exactly_k():
     edges = knn_edges(X, 4)
     counts = np.bincount(edges[:, 0], minlength=12)
     assert (counts == 4).all()
+
+
+def lexsort_knn(X, k):
+    """The full-row sort knn_edges replaced: the reference for its output,
+    array and order."""
+    n = X.shape[0]
+    norms = np.linalg.norm(X, axis=1)
+    unit = X / np.where(norms > 0, norms, 1.0)[:, None]
+    sim = unit @ unit.T
+    sim[norms == 0, :] = 0.0
+    sim[:, norms == 0] = 0.0
+    np.fill_diagonal(sim, -np.inf)
+    cols = np.broadcast_to(np.arange(n), (n, n))
+    targets = np.lexsort((cols, -sim), axis=1)[:, :k]
+    return make_edges(np.column_stack([np.repeat(np.arange(n), k),
+                                       targets.reshape(-1)]), EdgeOrigin.KNN)
+
+
+def tie_heavy_features(kind, seed=0):
+    g = np.random.default_rng(seed)
+    if kind == "duplicates":
+        base = g.normal(size=(6, 4))
+        return base[g.integers(0, 6, size=23)]
+    if kind == "zero_rows":
+        X = g.normal(size=(23, 4))
+        X[g.random(23) < 0.4] = 0.0
+        return X
+    return g.integers(-1, 2, size=(23, 3)).astype(float)   # integer-valued
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "zero_rows", "integers"])
+@pytest.mark.parametrize("k", [1, 3, 22])
+def test_knn_top_k_is_bit_identical_to_the_full_sort(kind, k):
+    X = tie_heavy_features(kind)
+    np.testing.assert_array_equal(knn_edges(X, k), lexsort_knn(X, k))
+
+
+def broadcast_sq(X, Y):
+    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+
+
+@pytest.mark.parametrize("rows", [3, 10, 16])   # N = 10: not a multiple,
+def test_blocked_distances_match_the_broadcast(monkeypatch, rows):  # equal, below
+    X = np.random.default_rng(rows).normal(size=(10, 4))
+    Y = X[:7] * 1.5
+    monkeypatch.setattr(enrich_mod, "_BLOCK_BYTES", rows * 8 * 10 * 4)
+    sq = enrich_mod._pairwise_sq_distances(X)
+    np.testing.assert_array_equal(sq, broadcast_sq(X, X))
+    monkeypatch.setattr(enrich_mod, "_BLOCK_BYTES", rows * 8 * 7 * 4)
+    np.testing.assert_array_equal(enrich_mod._pairwise_sq_distances(X, Y),
+                                  broadcast_sq(X, Y))
+    dist = np.sqrt(broadcast_sq(X, X))
+    assert enrich_mod._median_pairwise_distance(sq) \
+        == float(np.median(dist[np.triu_indices(10, k=1)]))
+
+
+@pytest.mark.parametrize("bandwidth", ["median", 0.05])   # 0.05: A underflows
+@pytest.mark.parametrize("kind", ["duplicates", "zero_rows", "integers"])
+def test_laplacian_matches_the_textbook_expression(monkeypatch, bandwidth,
+                                                   kind):
+    X = tie_heavy_features(kind, seed=1)
+    n = X.shape[0]
+    monkeypatch.setattr(enrich_mod, "_BLOCK_BYTES", 5 * 8 * n * X.shape[1])
+    if bandwidth == "median":
+        dist = np.sqrt(broadcast_sq(X, X))
+        zeta = float(np.median(dist[np.triu_indices(n, k=1)])) or 1.0
+    else:
+        zeta = bandwidth
+    affinity = np.exp(-broadcast_sq(X, X) / (2.0 * zeta * zeta))
+    inv_sqrt = 1.0 / np.sqrt(affinity.sum(axis=1))
+    expected = np.eye(n) - inv_sqrt[:, None] * affinity * inv_sqrt[None, :]
+    got = enrich_mod._normalized_laplacian(X, bandwidth)
+    np.testing.assert_array_equal(got, expected)
+    assert not np.signbit(got[expected == 0]).any()     # +0.0, as eye - x
+
+
+def test_spectral_peak_memory_is_quadratic_not_cubic():
+    # the (N, N, d) broadcast needs at least 128 * N^2 * 8 bytes here, so
+    # only the bounded version may ever run at this size
+    n, d = 1000, 64
+    X = np.random.default_rng(0).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        spectral_edges(X, 4, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * 8
 
 
 def adjusted_rand_index(a, b):

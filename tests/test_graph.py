@@ -89,6 +89,17 @@ def test_load_missing_file(tmp_path):
         load_dataset(tmp_path / "absent.csv", e, l)
 
 
+def test_make_edges_same_array_from_ndarray_list_and_generator():
+    pairs = np.array([[3, 1], [0, 2], [2, 2]])
+    want = np.array([[3, 1, 1], [0, 2, 1], [2, 2, 1]])
+    for given_pairs in (pairs, pairs.tolist(), (tuple(p) for p in pairs)):
+        got = make_edges(given_pairs, EdgeOrigin.KNN)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    assert make_edges(np.empty((0, 2)), EdgeOrigin.KNN).shape == (0, 3)
+    assert make_edges([], EdgeOrigin.KNN).shape == (0, 3)
+
+
 def test_coalesce_precedence_original_beats_spectral():
     edges = np.vstack([
         make_edges([(1, 2)], EdgeOrigin.ORIGINAL),

@@ -17,6 +17,7 @@ from maskdg.training import (
     evaluate,
     f1_metrics,
     final_mean_mask,
+    inference_graph,
     load_checkpoint,
     mask_statistics,
     save_checkpoint,
@@ -125,6 +126,20 @@ def test_no_mask_mode_runs_zero_ascent_steps():
     for rec in result.history:
         assert rec.ascent_steps == 0
         assert rec.mean_mask is None
+
+
+def test_scorer_runs_once_before_the_descent_steps_and_once_after_ascent(
+        monkeypatch):
+    from maskdg import training
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mask_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "mask_forward", counting)
+    train(two_domain_dataset(), small_cfg(epochs=2, n_descent=3))
+    assert len(calls) == 2 * 2 * 2          # epochs x domains x 2
 
 
 def test_training_is_bit_deterministic():
@@ -256,7 +271,8 @@ def test_descent_step_leaves_scorer_untouched():
 
     g, enriched, cfg, task, maskp = _step_fixture()
     before = {n: a.copy() for n, a in maskp.named()}
-    loss = tasknet_descent_step(task, maskp, g.features,
+    s = mask_forward(maskp, g.features, enriched.enriched_edges).values
+    loss = tasknet_descent_step(task, s, g.features,
                                 enriched.enriched_edges, g.labels, cfg,
                                 AdamState())
     assert np.isfinite(loss)
@@ -359,6 +375,19 @@ def test_inference_mask_modes_differ_after_training():
     lg2 = tasknet_forward(result.model.task, tgt.features, enr.enriched_edges,
                           mv.values, cfg.tasknet)
     assert not np.allclose(lg1, lg2)
+
+
+def test_inference_graph_takes_every_edge_of_each_enabled_origin():
+    from maskdg.enrich import knn_edges
+    g = toy_graph(4)
+    cfg = small_cfg(enrich=EnrichConfig(k=3, clusters=2, gamma_knn=0.2,
+                                        gamma_spec=0.0))
+    edges = inference_graph(cfg, g).enriched_edges
+    np.testing.assert_array_equal(edges, inference_graph(cfg, g).enriched_edges)
+    pairs = set(map(tuple, edges[:, :2]))
+    assert set(map(tuple, knn_edges(g.features, 3)[:, :2])) <= pairs
+    assert set(map(tuple, g.edges[:, :2])) <= pairs
+    assert not (edges[:, 2] == int(EdgeOrigin.SPECTRAL)).any()
 
 
 def test_evaluation_is_deterministic():
