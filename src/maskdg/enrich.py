@@ -61,23 +61,15 @@ class EnrichConfig:
 
 @dataclass(frozen=True)
 class EnrichedGraph:
-    """A base graph plus the coalesced union of feature-derived edges.
+    """A graph's edges coalesced with its feature-derived edges.
 
-    Self-loops, when enabled, occupy a contiguous tail (one per node); they
-    are bookkeeping for attention, not scorable structure.
+    Self-loops, when enabled, occupy a contiguous tail (one per node) after
+    the first `num_scorable` rows; they are bookkeeping for attention, not
+    scorable structure.
     """
 
-    base: Graph
     enriched_edges: np.ndarray
-    self_loop_start: int
-
-    @property
-    def num_scorable(self) -> int:
-        return self.self_loop_start
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.enriched_edges
+    num_scorable: int
 
 
 def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
@@ -305,8 +297,7 @@ class Enricher:
             loops = make_edges(np.arange(g.num_nodes).repeat(2).reshape(-1, 2),
                                EdgeOrigin.SELF_LOOP)
             merged = np.vstack([merged, loops]) if merged.size else loops
-        return EnrichedGraph(base=g, enriched_edges=merged,
-                             self_loop_start=start)
+        return EnrichedGraph(enriched_edges=merged, num_scorable=start)
 
 
 def enrich(g: Graph, cfg: EnrichConfig, rng: np.random.Generator) -> EnrichedGraph:

@@ -29,7 +29,6 @@ class GradientBundle:
     loss: float
     objective: float
     mask_grad: Optional[np.ndarray] = None   # d(loss)/d(s), zero on self-loops
-    mask_values: Optional[np.ndarray] = None
 
 
 def scorable_mean_var(mask_var: ad.Var, num_scorable: int) -> ad.Var:
@@ -79,7 +78,7 @@ def grad_masknet(task: tasknet.TaskNetParams, maskp: masknet.MaskNetParams,
     objective.backward()
     return GradientBundle(grads=mpv.grads(), loss=float(loss.data),
                           objective=float(objective.data),
-                          mask_grad=mask_grad, mask_values=mask_var.data.copy())
+                          mask_grad=mask_grad)
 
 
 @dataclass
@@ -102,30 +101,23 @@ class FiniteDiffReport:
 
 def finite_diff_check(loss_fn: Callable[[], float], named_params,
                       analytic: Dict[str, np.ndarray], h: float = 1e-4,
-                      tol: float = 1e-4, abs_floor: float = 1e-8,
-                      max_coords: Optional[int] = None,
-                      rng: Optional[np.random.Generator] = None) -> FiniteDiffReport:
+                      tol: float = 1e-4,
+                      abs_floor: float = 1e-8) -> FiniteDiffReport:
     """Central-difference audit of an analytic gradient.
 
     Mutates each parameter coordinate in place by +/-h, calls loss_fn, and
-    restores it. For tensors larger than max_coords a random coordinate
-    subset is checked. The error metric is |fd - g| / max(|fd|, |g|, floor)
-    with floor = abs_floor / tol, so absolute errors below abs_floor always
-    pass.
+    restores it. The error metric is |fd - g| / max(|fd|, |g|, floor) with
+    floor = abs_floor / tol, so absolute errors below abs_floor always pass.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    rng = rng or np.random.default_rng(0)
     floor = abs_floor / tol
     per_tensor, checked = {}, {}
     for name, arr in named_params:
         flat = arr.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            idxs = rng.choice(flat.size, size=max_coords, replace=False)
         worst = 0.0
         gflat = analytic[name].reshape(-1)
-        for i in idxs:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
             fp = loss_fn()
@@ -136,7 +128,7 @@ def finite_diff_check(loss_fn: Callable[[], float], named_params,
             err = abs(fd - gflat[i])
             worst = max(worst, float(err / max(abs(fd), abs(gflat[i]), floor)))
         per_tensor[name] = worst
-        checked[name] = len(idxs)
+        checked[name] = flat.size
     overall = max(per_tensor.values()) if per_tensor else 0.0
     return FiniteDiffReport(per_tensor=per_tensor, checked=checked,
                             max_rel_error=overall, tol=tol)

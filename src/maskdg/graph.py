@@ -306,34 +306,70 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
+    """Read a graph file; any malformed, truncated or inconsistent input
+    raises GraphFormatError naming the file and, where there is one, the
+    line."""
     path = Path(path)
     if not path.exists():
         raise GraphFormatError(f"graph file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = path.read_text(errors="replace").splitlines()
     if not lines or lines[0] != _MAGIC:
         raise GraphFormatError(f"{path}:1: not a graph file (missing header)")
 
+    def fail(idx: int, what: str) -> GraphFormatError:
+        return GraphFormatError(f"{path}:{idx + 1}: {what}")
+
     def expect(idx: int, key: str) -> str:
         if idx >= len(lines) or not lines[idx].startswith(key):
-            raise GraphFormatError(f"{path}:{idx + 1}: expected '{key} ...'")
+            raise fail(idx, f"expected '{key} ...'")
         return lines[idx][len(key):].strip()
 
-    n = int(expect(1, "nodes"))
-    d = int(expect(2, "features"))
-    c = int(expect(3, "classes"))
+    def count(idx: int, key: str) -> int:
+        text = expect(idx, key)
+        if not (text.isascii() and text.isdigit()):
+            raise fail(idx, f"'{key}' needs a nonnegative integer")
+        return int(text)
+
+    def need(end: int, block: str) -> None:
+        if len(lines) < end:
+            raise fail(len(lines), f"file ends inside the {block} block")
+
+    n = count(1, "nodes")
+    d = count(2, "features")
+    c = count(3, "classes")
     domain = expect(4, "domain")
     expect(5, "X")
+    need(6 + n, "X")
     feat_rows = []
     for i in range(n):
         feat_rows.append(_parse_float_row(lines[6 + i], path, 7 + i))
-    features = np.asarray(feat_rows, dtype=np.float64).reshape(n, d)
+    try:
+        features = np.asarray(feat_rows, dtype=np.float64).reshape(n, d)
+    except ValueError:
+        i = next(i for i, row in enumerate(feat_rows) if len(row) != d)
+        raise fail(6 + i, f"expected {d} feature values, "
+                          f"got {len(feat_rows[i])}") from None
     idx = 6 + n
     expect(idx, "labels")
-    labels = [int(lines[idx + 1 + i]) for i in range(n)]
+    need(idx + 1 + n, "labels")
+    labels = []
+    try:
+        for i in range(n):
+            labels.append(int(lines[idx + 1 + i]))
+    except ValueError:
+        raise fail(idx + 1 + i, "label must be an integer") from None
     idx += 1 + n
-    num_edges = int(expect(idx, "edges"))
+    num_edges = count(idx, "edges")
+    need(idx + 1 + num_edges, "edges")
     edges = np.empty((num_edges, 3), dtype=np.int64)
-    for i in range(num_edges):
-        toks = lines[idx + 1 + i].split()
-        edges[i] = (int(toks[0]), int(toks[1]), int(EdgeOrigin[toks[2]]))
-    return Graph(features, edges, labels, c, domain)
+    try:
+        for i in range(num_edges):
+            toks = lines[idx + 1 + i].split()
+            edges[i] = (int(toks[0]), int(toks[1]), int(EdgeOrigin[toks[2]]))
+    except (ValueError, KeyError, IndexError, OverflowError):
+        raise fail(idx + 1 + i, "expected 'src dst ORIGIN', got "
+                                f"{lines[idx + 1 + i]!r}") from None
+    try:
+        return Graph(features, edges, labels, c, domain)
+    except (GraphFormatError, OverflowError) as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None

@@ -209,24 +209,14 @@ def kkt_check(grad: np.ndarray, s_star: np.ndarray, lam_star: float,
     """
     grad = np.asarray(grad, dtype=np.float64)
     s_star = np.asarray(s_star, dtype=np.float64)
-    m = s_star.size
-    thr = lam_star / m
-    mu = np.zeros(m)
-    nu = np.zeros(m)
-    cases: List[str] = []
-    residuals = np.zeros(m)
-    for e in range(m):
-        if s_star[e] <= boundary_tol:
-            cases.append("zero")
-            residuals[e] = max(grad[e] - thr, 0.0)
-            nu[e] = max(thr - grad[e], 0.0)
-        elif s_star[e] >= 1.0 - boundary_tol:
-            cases.append("one")
-            residuals[e] = max(thr - grad[e], 0.0)
-            mu[e] = max(grad[e] - thr, 0.0)
-        else:
-            cases.append("interior")
-            residuals[e] = abs(grad[e] - thr)
+    thr = lam_star / s_star.size
+    above, below = np.maximum(grad - thr, 0.0), np.maximum(thr - grad, 0.0)
+    zero = s_star <= boundary_tol
+    one = ~zero & (s_star >= 1.0 - boundary_tol)
+    residuals = np.where(zero, above, np.where(one, below, np.abs(grad - thr)))
+    mu = np.where(one, above, 0.0)
+    nu = np.where(zero, below, 0.0)
+    cases = np.where(zero, "zero", np.where(one, "one", "interior")).tolist()
     mean_s = float(s_star.mean())
     primal = (mean_s <= rho + tol
               and np.all(s_star >= -tol) and np.all(s_star <= 1.0 + tol))

@@ -101,7 +101,6 @@ class TrainedModel:
     mask: MaskNetParams
     cfg: TrainConfig
     final_lambda: float
-    rng_state: Optional[dict] = None
 
 
 @dataclass
@@ -308,8 +307,7 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
             ascent_steps=ascent_count,
         ))
 
-    model = TrainedModel(task=task, mask=maskp, cfg=cfg, final_lambda=lam,
-                         rng_state=loop_rng.bit_generator.state)
+    model = TrainedModel(task=task, mask=maskp, cfg=cfg, final_lambda=lam)
     return TrainResult(model=model, history=history)
 
 
@@ -399,7 +397,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, model: TrainedModel) -> None:
     """Single-file npz: parameter tensors under task./mask. prefixes plus a
-    JSON metadata entry (config, final lambda, rng state, version)."""
+    JSON metadata entry (config, final lambda, version)."""
     arrays = {}
     for name, arr in model.task.named():
         arrays[f"task.{name}"] = arr
@@ -409,7 +407,6 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         "version": CHECKPOINT_VERSION,
         "config": config_to_dict(model.cfg),
         "final_lambda": model.final_lambda,
-        "rng_state": _jsonable(model.rng_state),
     }
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -434,15 +431,4 @@ def load_checkpoint(path) -> TrainedModel:
         for name, arr in maskp.named():
             arr[...] = data[f"mask.{name}"]
     return TrainedModel(task=task, mask=maskp, cfg=cfg,
-                        final_lambda=meta["final_lambda"],
-                        rng_state=meta["rng_state"])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+                        final_lambda=meta["final_lambda"])

@@ -9,93 +9,45 @@ from dataclasses import replace
 
 import numpy as np
 
+from maskdg import checks
 from maskdg.enrich import EnrichConfig
-from maskdg.gradients import finite_diff_check, grad_masknet, grad_tasknet
-from maskdg.graph import DomainDataset, EdgeOrigin, coalesce, make_edges
-from maskdg.masknet import init_masknet, mask_forward
+from maskdg.graph import DomainDataset, EdgeOrigin, make_edges
 from maskdg.synth import SynthConfig, generate
 from maskdg.tasknet import (TaskNetConfig, cross_entropy, edge_softmax,
                             init_tasknet, tasknet_forward)
-from maskdg.theory import (SurrogateProblem, dual_upper_bound, iter_mask_grid,
-                           kkt_check, masknet_gradient_identity,
-                           surrogate_kkt_instance, surrogate_optimal_mask,
-                           tasknet_mask_loss_fn)
 from maskdg.training import (TrainConfig, ablate_2x2, evaluate,
                              final_mean_mask, save_checkpoint, train)
 
 from tests.test_tasknet import reference_gat_forward
 
 
-def eight_node_fixture(seed=0):
-    """8 nodes, 16 scorable enriched edges (8 original + 4 kNN + 4 spectral)
-    plus self-loops."""
-    rng = np.random.default_rng(seed)
-    original = [(i, (i + 1) % 8) for i in range(8)]
-    knn = [(0, 2), (3, 5), (6, 1), (7, 4)]
-    spectral = [(2, 6), (6, 2), (1, 5), (5, 1)]
-    edges = coalesce(np.vstack([
-        make_edges(original, EdgeOrigin.ORIGINAL),
-        make_edges(knn, EdgeOrigin.KNN),
-        make_edges(spectral, EdgeOrigin.SPECTRAL),
-    ]))
-    assert edges.shape[0] == 16
-    edges = np.vstack([edges,
-                       make_edges([(i, i) for i in range(8)],
-                                  EdgeOrigin.SELF_LOOP)])
-    X = rng.normal(size=(8, 5))
-    labels = rng.integers(0, 3, size=8)
-    cfg = TaskNetConfig(layers=2, heads=2, head_dim=4,
-                        attn_dropout=0.0, layer_dropout=0.0)
-    task = init_tasknet(5, 3, cfg, rng)
-    maskp = init_masknet(5, 6, 4, rng)
-    return task, maskp, X, edges, labels, cfg
-
+# Criteria 1-5 run the instances of `maskdg.checks`, the same ones `maskdg
+# gradcheck` and `maskdg oracle` run. Each test restates the instance
+# parameters and the tolerance as literals against what the check measured.
 
 def test_criterion_1_gradient_correctness_within_10s():
+    edges = checks.eight_node_fixture(0)[3]
+    assert np.bincount(edges[:, 2], minlength=4).tolist() == [8, 4, 4, 8]
     start = time.monotonic()
-    task, maskp, X, edges, labels, cfg = eight_node_fixture()
-    lam = 0.01
-
-    mask = mask_forward(maskp, X, edges)
-    t_bundle = grad_tasknet(task, X, edges, mask.values, labels, cfg)
-
-    def task_loss():
-        return cross_entropy(
-            tasknet_forward(task, X, edges, mask.values, cfg), labels)
-
-    t_report = finite_diff_check(task_loss, task.named(), t_bundle.grads,
-                                 h=1e-4, tol=1e-4)
-
-    m_bundle = grad_masknet(task, maskp, X, edges, labels, lam, cfg)
-
-    def mask_objective():
-        mk = mask_forward(maskp, X, edges)
-        ce = cross_entropy(
-            tasknet_forward(task, X, edges, mk.values, cfg), labels)
-        return -ce + lam * mk.mean_scorable()
-
-    m_report = finite_diff_check(mask_objective, maskp.named(),
-                                 m_bundle.grads, h=1e-4, tol=1e-4)
-
+    audit = checks.gradient_audit()
     elapsed = time.monotonic() - start
-    assert t_report.passed, list(t_report.lines())
-    assert m_report.passed, list(m_report.lines())
+    assert (audit.seed, audit.h) == (0, 1e-4)
+    for report in (audit.tasknet, audit.masknet):
+        # the tolerance also sets the error metric's floor (1e-8 / tol)
+        assert report.tol == 1e-4
+        assert max(report.per_tensor.values()) <= 1e-4, list(report.lines())
     # non-vacuous: real gradient signal on both sides
-    assert max(np.abs(g).max() for g in t_bundle.grads.values()) > 1e-6
-    assert max(np.abs(g).max() for g in m_bundle.grads.values()) > 1e-8
+    assert audit.signal[0] > 1e-6 and audit.signal[1] > 1e-8
     assert elapsed < 10.0, f"{elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS gradients match finite differences "
-          f"(task {t_report.max_rel_error:.2e}, mask "
-          f"{m_report.max_rel_error:.2e}, {elapsed:.1f}s)")
+          f"(task {audit.tasknet.max_rel_error:.2e}, mask "
+          f"{audit.masknet.max_rel_error:.2e}, {elapsed:.1f}s)")
 
 
 def test_criterion_2_two_path_identity_10_seeds():
-    worst = 0.0
-    for seed in range(10):
-        task, maskp, X, edges, labels, cfg = eight_node_fixture(seed)
-        dev = masknet_gradient_identity(task, maskp, X, edges, labels,
-                                        lam=0.01, cfg=cfg)
-        worst = max(worst, dev)
+    report = checks.two_path_deviations()
+    assert report.seeds == list(range(10))
+    worst = max(report.deviations)
     assert worst <= 1e-10, worst
     print(f"\nACCEPTANCE 2 PASS two-path adversary gradient identity "
           f"(max deviation {worst:.2e} over 10 seeds)")
@@ -103,71 +55,44 @@ def test_criterion_2_two_path_identity_10_seeds():
 
 def test_criterion_3_surrogate_indicator_attains_grid_max():
     start = time.monotonic()
-    rng = np.random.default_rng(123)
-    for i in range(100):
-        m = int(rng.integers(1, 6))
-        prob = SurrogateProblem(c=rng.normal(scale=0.5, size=m),
-                                base_loss=float(rng.normal()),
-                                tau=float(rng.uniform(0.0, 0.4)))
-        _, value = surrogate_optimal_mask(prob)
-        best = -np.inf
-        for batch in iter_mask_grid(m, 0.05):
-            best = max(best, float(prob.penalized_objective(batch).max()))
-        assert value >= best - 1e-12, (i, value, best)
-        assert abs(value - best) <= 1e-9, (i, value, best)
+    report = checks.surrogate_gaps()
     elapsed = time.monotonic() - start
+    assert (report.seed, report.resolution) == (123, 0.05)
+    value, best = report.values, report.grid_maxima
+    assert value.shape == best.shape == (100,)
+    assert np.all(value >= best - 1e-12), np.flatnonzero(value < best - 1e-12)
+    assert np.all(np.abs(value - best) <= 1e-9), np.abs(value - best).max()
     assert elapsed < 30.0, f"{elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 PASS indicator mask attains the grid maximum on "
           f"100 affine instances ({elapsed:.1f}s)")
 
 
 def test_criterion_4_weak_duality_on_real_tasknet_instances():
-    rng = np.random.default_rng(7)
-    checked = 0
-    for i in range(20):
-        n = 3
-        pairs = [(0, 1), (1, 2), (2, 0), (1, 0)]
-        edges = np.vstack([
-            make_edges(pairs, EdgeOrigin.ORIGINAL),
-            make_edges([(j, j) for j in range(n)], EdgeOrigin.SELF_LOOP),
-        ])
-        X = rng.normal(size=(n, 3))
-        labels = rng.integers(0, 2, size=n)
-        if len(set(labels)) < 2:
-            labels[0] = 1 - labels[0]
-        cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
-                            attn_dropout=0.0, layer_dropout=0.0)
-        task = init_tasknet(3, 2, cfg, rng)
-        fn = tasknet_mask_loss_fn(task, X, edges, labels, cfg)
-        report = dual_upper_bound(fn, m=4, rho=0.5,
-                                  lambda_grid=[0.0, 0.5, 1.0, 5.0],
-                                  resolution=0.05, tol=1e-9)
-        assert report.all_hold, (i, report.primal, report.dual_values)
-        checked += 1
-    assert checked == 20
+    result = checks.weak_duality()
+    assert (result.seed, len(result.reports)) == (7, 20)
+    for i, report in enumerate(result.reports):
+        assert (report.rho, report.resolution) == (0.5, 0.05)
+        assert report.primal_point.shape == (4,)
+        assert list(report.dual_values) == [0.0, 0.5, 1.0, 5.0]
+        for lam, dual in report.dual_values.items():
+            assert report.primal <= dual + 1e-9, (i, lam, report.primal, dual)
     print("\nACCEPTANCE 4 PASS weak duality holds on 20 classifier instances "
           "x 4 multipliers (grid 0.05)")
 
 
 def test_criterion_5_kkt_certificates_and_negative_control():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = int(rng.integers(2, 6))
-        prob = SurrogateProblem(c=rng.normal(scale=0.5, size=m),
-                                tau=float(rng.uniform(0.0, 0.2)))
-        s_star, _ = surrogate_optimal_mask(prob)
-        if s_star.sum() == 0:
-            continue
-        s_star, lam_star, rho = surrogate_kkt_instance(prob)
-        cert = kkt_check(prob.c, s_star, lam_star, rho, tol=1e-9)
-        assert cert.passed, list(cert.lines())
-    # corrupted certificate: nudge one kept edge into the interior
-    prob = SurrogateProblem(c=np.array([0.8, 0.5, -0.2]), tau=0.1)
-    s_star, lam_star, rho = surrogate_kkt_instance(prob)
-    bad = s_star.copy()
-    bad[0] = 0.5
-    cert = kkt_check(prob.c, bad, lam_star, rho, tol=1e-9)
-    assert not cert.passed
+    report = checks.kkt_certificates()
+    assert report.seed == 11
+    assert len(report.certificates) + report.degenerate == 20
+    for cert in report.certificates:
+        assert cert.tol == 1e-9     # also bounds primal feasibility
+        assert cert.stationarity_residuals.max() <= 1e-9, list(cert.lines())
+        assert abs(cert.complementary_slackness) <= 1e-9
+        assert cert.primal_feasible and cert.dual_feasible
+    # corrupted certificate: a kept edge nudged into the interior
+    bad = report.corrupted
+    assert bad.s_star.tolist() == [0.5, 1.0, 0.0] and bad.tol == 1e-9
+    assert bad.stationarity_residuals.max() > 1e-9
     print("\nACCEPTANCE 5 PASS analytic certificates verify at 1e-9; "
           "corrupted certificate rejected")
 

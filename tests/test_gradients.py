@@ -2,107 +2,50 @@ import numpy as np
 import pytest
 
 from maskdg import autodiff as ad
+from maskdg.checks import eight_node_fixture, gradient_audit
 from maskdg.gradients import (
     finite_diff_check,
     grad_masknet,
     grad_tasknet,
     scorable_mean_var,
 )
-from maskdg.graph import EdgeOrigin, make_edges
-from maskdg.masknet import init_masknet, mask_forward, mask_forward_var
-from maskdg.tasknet import (
-    TaskNetConfig,
-    cross_entropy,
-    init_tasknet,
-    tasknet_forward,
-)
-
-
-def fixture_graph(n=8, extra=8, seed=0):
-    """Seeded small graph: a ring plus random chords, self-loops appended."""
-    g = np.random.default_rng(seed)
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    while len(pairs) < n + extra:
-        u, v = g.integers(0, n, size=2)
-        if u != v and (u, v) not in pairs:
-            pairs.append((int(u), int(v)))
-    edges = np.vstack([
-        make_edges(pairs, EdgeOrigin.ORIGINAL),
-        make_edges([(i, i) for i in range(n)], EdgeOrigin.SELF_LOOP),
-    ])
-    X = g.normal(size=(n, 5))
-    labels = g.integers(0, 3, size=n)
-    return X, edges, labels
-
-
-CFG = TaskNetConfig(layers=2, heads=2, head_dim=4,
-                    attn_dropout=0.0, layer_dropout=0.0)
-
-
-def nets(seed=0, d=5, c=3):
-    r = np.random.default_rng(seed)
-    task = init_tasknet(d, c, CFG, r)
-    maskp = init_masknet(d, d_prime=6, hidden=4, rng=r)
-    return task, maskp
+from maskdg.masknet import mask_forward
+from maskdg.tasknet import cross_entropy, tasknet_forward
+from maskdg.theory import masknet_gradient_identity
 
 
 def test_tasknet_gradient_matches_finite_differences():
-    X, edges, labels = fixture_graph()
-    task, maskp = nets()
-    mask = mask_forward(maskp, X, edges)
-    bundle = grad_tasknet(task, X, edges, mask.values, labels, CFG)
-
-    def loss_fn():
-        return cross_entropy(tasknet_forward(task, X, edges, mask.values, CFG),
-                             labels)
-
-    report = finite_diff_check(loss_fn, task.named(), bundle.grads,
-                               h=1e-4, tol=1e-4)
-    assert report.passed, list(report.lines())
+    audit = gradient_audit(8)
+    assert audit.tasknet.passed, list(audit.tasknet.lines())
 
 
 def test_masknet_gradient_matches_finite_differences():
-    X, edges, labels = fixture_graph(seed=3)
-    task, maskp = nets(seed=3)
-    lam = 0.05
-    bundle = grad_masknet(task, maskp, X, edges, labels, lam, CFG)
-
-    def loss_fn():
-        mask = mask_forward(maskp, X, edges)
-        ce = cross_entropy(tasknet_forward(task, X, edges, mask.values, CFG),
-                           labels)
-        return -ce + lam * mask.mean_scorable()
-
-    report = finite_diff_check(loss_fn, maskp.named(), bundle.grads,
-                               h=1e-4, tol=1e-4)
-    assert report.passed, list(report.lines())
+    audit = gradient_audit(3)
+    assert audit.masknet.passed, list(audit.masknet.lines())
 
 
 def test_grad_tasknet_never_touches_mask_params():
-    X, edges, labels = fixture_graph(seed=1)
-    task, maskp = nets(seed=1)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(1)
     mask = mask_forward(maskp, X, edges)
     before = {n: a.copy() for n, a in maskp.named()}
-    bundle = grad_tasknet(task, X, edges, mask.values, labels, CFG)
+    bundle = grad_tasknet(task, X, edges, mask.values, labels, cfg)
     assert set(bundle.grads) == {n for n, _ in task.named()}
     for n, a in maskp.named():
         np.testing.assert_array_equal(a, before[n])
 
 
 def test_grad_masknet_never_touches_task_params():
-    X, edges, labels = fixture_graph(seed=2)
-    task, maskp = nets(seed=2)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(2)
     before = {n: a.copy() for n, a in task.named()}
-    bundle = grad_masknet(task, maskp, X, edges, labels, 0.01, CFG)
+    bundle = grad_masknet(task, maskp, X, edges, labels, 0.01, cfg)
     assert set(bundle.grads) == {n for n, _ in maskp.named()}
     for n, a in task.named():
         np.testing.assert_array_equal(a, before[n])
 
 
 def test_mask_grad_zero_on_self_loops():
-    X, edges, labels = fixture_graph(seed=4)
-    task, maskp = nets(seed=4)
-    bundle = grad_masknet(task, maskp, X, edges, labels, 0.0, CFG)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(4)
+    bundle = grad_masknet(task, maskp, X, edges, labels, 0.0, cfg)
     n_loops = int((edges[:, 0] == edges[:, 1]).sum())
     np.testing.assert_array_equal(bundle.mask_grad[-n_loops:], 0.0)
     assert np.any(bundle.mask_grad[:-n_loops] != 0.0)
@@ -119,46 +62,28 @@ def test_two_path_identity_direct_vs_jacobian_product():
     # Direct reverse accumulation of the adversarial objective must agree
     # with assembling it from d(loss)/d(s) and the explicit Jacobian of the
     # scorer, row by row.
-    X, edges, labels = fixture_graph(n=6, extra=4, seed=5)
-    task, maskp = nets(seed=5, d=5)
-    lam = 0.02
-    direct = grad_masknet(task, maskp, X, edges, labels, lam, CFG)
-
-    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
-    m = int(scorable.sum())
-    jac = {name: np.zeros((m,) + arr.shape) for name, arr in maskp.named()}
-    for e in range(m):
-        seed = np.zeros(mask_var.data.shape)
-        seed[e] = 1.0
-        mask_var.backward(seed)
-        for name, _ in maskp.named():
-            if mpv[name].grad is not None:
-                jac[name][e] = mpv[name].grad
-    coeff = -direct.mask_grad[:m] + lam / m
-    for name, arr in maskp.named():
-        assembled = np.tensordot(coeff, jac[name], axes=1)
-        assert np.max(np.abs(assembled - direct.grads[name])) <= 1e-10
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(5)
+    assert masknet_gradient_identity(task, maskp, X, edges, labels, 0.02,
+                                     cfg) <= 1e-10
 
 
 def test_descent_direction_reduces_loss():
-    X, edges, labels = fixture_graph(seed=6)
-    task, maskp = nets(seed=6)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(6)
     mask = mask_forward(maskp, X, edges)
-    bundle = grad_tasknet(task, X, edges, mask.values, labels, CFG)
+    bundle = grad_tasknet(task, X, edges, mask.values, labels, cfg)
     before = bundle.loss
     step = 1e-3
     for name, arr in task.named():
         arr -= step * bundle.grads[name]
-    after = cross_entropy(tasknet_forward(task, X, edges, mask.values, CFG),
+    after = cross_entropy(tasknet_forward(task, X, edges, mask.values, cfg),
                           labels)
     assert after < before
 
 
 def test_large_lambda_pushes_all_scores_down():
-    X, edges, labels = fixture_graph(seed=7)
-    task, maskp = nets(seed=7)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(7)
     before = mask_forward(maskp, X, edges).mean_scorable()
-    bundle = grad_masknet(task, maskp, X, edges, labels, 1e3, CFG)
+    bundle = grad_masknet(task, maskp, X, edges, labels, 1e3, cfg)
     step = 1e-3
     for name, arr in maskp.named():
         arr -= step * bundle.grads[name]
@@ -197,11 +122,10 @@ def test_finite_diff_check_rejects_bad_h():
 def test_gradients_flow_into_w_out_when_rest_is_flat():
     # With a zero output head, logits vanish for every class, the softmax is
     # uniform, and the only nonzero gradient is the one into the head itself.
-    X, edges, labels = fixture_graph(seed=10)
-    task, maskp = nets(seed=10)
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(10)
     task.out_w[...] = 0.0
     mask = mask_forward(maskp, X, edges)
-    bundle = grad_tasknet(task, X, edges, mask.values, labels, CFG)
+    bundle = grad_tasknet(task, X, edges, mask.values, labels, cfg)
     assert bundle.loss == pytest.approx(np.log(3), abs=1e-12)
     for name, _ in task.named():
         if name == "out_w":

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -515,6 +517,24 @@ def test_checkpoint_bytes_with_dropout_are_run_independent(tmp_path):
     save_checkpoint(nodrop, train(ds, small_cfg(epochs=2)).model)
     assert load_checkpoint(p1).task.out_w.tobytes() != \
         load_checkpoint(nodrop).task.out_w.tobytes()
+
+
+def test_checkpoint_with_legacy_rng_state_loads(tmp_path):
+    # earlier checkpoints also stored the training loop's rng state in meta
+    ds = two_domain_dataset()
+    p, legacy = tmp_path / "model.ckpt", tmp_path / "legacy.ckpt"
+    save_checkpoint(p, train(ds, small_cfg(epochs=1)).model)
+    with np.load(p) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert "rng_state" not in meta
+    meta["rng_state"] = np.random.default_rng(0).bit_generator.state
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with legacy.open("wb") as f:
+        np.savez(f, **arrays)
+    for mode in ("all-ones", "masknet"):
+        assert evaluate(load_checkpoint(legacy), ds.target_graph, mode) == \
+            evaluate(load_checkpoint(p), ds.target_graph, mode)
 
 
 def test_config_roundtrip_through_dict():
