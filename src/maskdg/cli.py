@@ -71,8 +71,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls, prefix=()) -> None:
 
 
 def _coerce(value: str, current):
+    """The flag string as the type of the field's current value; raises
+    ValueError when it does not parse as that type."""
     if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() in ("1", "true", "yes", "on"):
+            return True
+        if value.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected a boolean, got {value!r}")
     if isinstance(current, int) and not isinstance(current, bool):
         return int(value)
     if isinstance(current, float):
@@ -85,6 +91,23 @@ def _coerce(value: str, current):
     return value
 
 
+def _config_overrides(args, data: dict) -> None:
+    """Write the parsed 'cfg::' flags into the (nested) dict `data`,
+    coerced to each field's type."""
+    for key, value in vars(args).items():
+        if not key.startswith("cfg::") or value is None:
+            continue
+        parts = key.split("::")[1:]
+        node = data
+        for p in parts[:-1]:
+            node = node.setdefault(p, {})
+        try:
+            node[parts[-1]] = _coerce(value, node.get(parts[-1]))
+        except ValueError:
+            raise ConfigError(f"{_flag_name(*parts)}: bad value {value!r}") \
+                from None
+
+
 def resolve_train_config(args) -> TrainConfig:
     data = config_to_dict(TrainConfig())
     if getattr(args, "config", None):
@@ -95,14 +118,7 @@ def resolve_train_config(args) -> TrainConfig:
             data.update(json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    for key, value in vars(args).items():
-        if not key.startswith("cfg::") or value is None:
-            continue
-        parts = key.split("::")[1:]
-        node = data
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = _coerce(value, node.get(parts[-1]))
+    _config_overrides(args, data)
     try:
         return config_from_dict(data)
     except (TypeError, ValueError) as exc:
@@ -192,13 +208,12 @@ class RunContext:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    fields = {f.name for f in dataclasses.fields(SynthConfig)}
-    kwargs = {}
-    for key, value in vars(args).items():
-        name = key.split("::")[-1]
-        if key.startswith("cfg::") and value is not None and name in fields:
-            kwargs[name] = _coerce(value, getattr(SynthConfig(), name))
-    cfg = SynthConfig(**kwargs)
+    data = dataclasses.asdict(SynthConfig())
+    _config_overrides(args, data)
+    try:
+        cfg = SynthConfig(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synth settings: {exc}") from None
     ctx = RunContext(args.out, "synth", dataclasses.asdict(cfg), cfg.seed)
     ds = generate(cfg)
     paths = []
@@ -303,7 +318,13 @@ def cmd_eval(args) -> int:
 def cmd_ablate_lambda(args) -> int:
     cfg = resolve_train_config(args)
     ds = _load_sources_target(args, cfg)
-    grid = [float(x) for x in args.grid.split(",")]
+    try:
+        grid = [float(x) for x in args.grid.split(",")]
+    except ValueError:
+        raise ConfigError(f"--grid: bad value {args.grid!r}") from None
+    if not all(0.0 <= lam < np.inf for lam in grid):
+        raise ConfigError(f"--grid: sparsity values must be finite and >= 0, "
+                          f"got {args.grid!r}")
     ctx = RunContext(args.out, "ablate-lambda",
                      {"train": config_to_dict(cfg), "grid": grid}, cfg.seed)
     rows = ablate_lambda(ds, cfg, grid)

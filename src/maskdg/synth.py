@@ -37,6 +37,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if self.nodes_per_domain < self.num_classes:
+            raise ValueError("nodes_per_domain must be >= num_classes")
+        if self.feature_dim < 1 or self.confounder_groups < 1:
+            raise ValueError("feature_dim and confounder_groups must be >= 1")
         if not 0 <= self.homophily <= 1:
             raise ValueError("homophily must lie in [0, 1]")
         if self.num_domains < 1:

@@ -39,10 +39,14 @@ class TaskNetConfig:
     layer_dropout: float = 0.5
 
     def __post_init__(self):
-        if self.layers < 1 or self.heads < 1:
-            raise ValueError("layers and heads must be >= 1")
+        if self.layers < 1 or self.heads < 1 or self.head_dim < 1:
+            raise ValueError("layers, heads and head_dim must be >= 1")
         if self.activation not in ("elu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not (0.0 <= self.attn_dropout < 1.0
+                and 0.0 <= self.layer_dropout < 1.0):
+            raise ValueError("attn_dropout and layer_dropout must lie in "
+                             "[0, 1)")
 
 
 @dataclass
@@ -105,10 +109,17 @@ def init_tasknet(d: int, num_classes: int, cfg: TaskNetConfig,
 class EdgeSegments:
     """An edge list sorted by destination (CSR), for segment reductions.
 
-    Sums and maxima over each node's in-edges are one np.add.reduceat /
-    np.maximum.reduceat along the edge axis, which is axis -3 of every
-    (..., E, H, F) edge tensor. The sort is stable, so a node's in-edges keep
-    their input order and its sums do not depend on how nodes are numbered.
+    Edge tensors are laid out edge-last, (..., H, F, E), so every sum and
+    maximum over a node's in-edges is one np.add.reduceat /
+    np.maximum.reduceat along the contiguous last axis. The sort is stable,
+    so a node's in-edges keep their input order and its sums do not depend
+    on how nodes are numbered. Gathers along the edge axis go through
+    `take`: `x[..., idx]` would return an edge-major array behind an
+    (..., H, F, E) view, and every later reduction would run strided.
+
+    `src_order` is the stable order of the sorted edges by source, and
+    `dst_by_src` their destinations in that order; `sum_by_src` reduces
+    values laid out in that order per source node.
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -124,17 +135,34 @@ class EdgeSegments:
         self.src, self.dst = src[self.order], dst[self.order]
         self.starts = np.cumsum(deg) - deg
         self.num_nodes = num_nodes
+        out_deg = np.bincount(self.src, minlength=num_nodes)
+        self.src_order = ad.stable_order(self.src, num_nodes)
+        self.dst_by_src = self.dst[self.src_order]
+        self._src_rows = np.flatnonzero(out_deg)      # nodes with out-edges
+        self._src_starts = (np.cumsum(out_deg) - out_deg)[self._src_rows]
+
+    @staticmethod
+    def take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """x[..., idx] as a C-contiguous array."""
+        return np.take(x, idx, axis=-1)
 
     def sum(self, x: np.ndarray) -> np.ndarray:
-        """Per-destination sums: (..., E, H, F) -> (..., N, H, F)."""
-        return np.add.reduceat(x, self.starts, axis=-3)
+        """Per-destination sums: (..., E) -> (..., N)."""
+        return np.add.reduceat(x, self.starts, axis=-1)
+
+    def sum_by_src(self, x: np.ndarray) -> np.ndarray:
+        """Per-source sums of (..., E) values in `src_order`: (..., N), zero
+        for nodes without out-edges."""
+        out = np.zeros(x.shape[:-1] + (self.num_nodes,))
+        out[..., self._src_rows] = np.add.reduceat(x, self._src_starts,
+                                                   axis=-1)
+        return out
 
     def softmax(self, e: np.ndarray) -> np.ndarray:
-        """Stable softmax of (..., E, H, 1) edge logits over each node's
-        in-edges."""
-        shift = np.maximum.reduceat(e, self.starts, axis=-3)
-        ex = np.exp(e - shift[..., self.dst, :, :])
-        return ex / self.sum(ex)[..., self.dst, :, :]
+        """Stable softmax of (..., E) edge logits over each node's in-edges."""
+        shift = np.maximum.reduceat(e, self.starts, axis=-1)
+        ex = np.exp(e - self.take(shift, self.dst))
+        return ex / self.take(self.sum(ex), self.dst)
 
 
 def edge_softmax(logits: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -142,7 +170,7 @@ def edge_softmax(logits: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndar
     seg = EdgeSegments(np.stack([dst, dst], axis=1), num_nodes)
     alpha = np.empty(seg.order.size)
     alpha[seg.order] = seg.softmax(
-        np.asarray(logits, dtype=np.float64)[seg.order, None, None])[:, 0, 0]
+        np.asarray(logits, dtype=np.float64)[seg.order])
     return alpha
 
 
@@ -155,7 +183,8 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     h: (..., N, D) input; mask: (..., E) in input edge order, where a leading
     mask-batch axis is carried through (forward only); keep: (H, E) attention
     dropout scale or None. Hidden layers return the (..., N, H*d_h) concat
-    of the activated heads, the final layer their mean. Raises
+    of the activated heads, the final layer their mean. Inside, node tensors
+    are (..., H, F, N) and edge tensors (..., H, F, E). Raises
     NonFiniteError naming `layer` and the first head whose sums went
     non-finite.
     """
@@ -163,24 +192,27 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     W = np.concatenate([hp.W.data for hp in heads])           # (H d_h, D)
     a = np.stack([hp.a.data for hp in heads])                 # (H, 2 d_h + 1)
     w = np.concatenate([hp.w.data for hp in heads])           # (H,)
-    P = np.stack([a[:, :d_h], a[:, d_h:2 * d_h]], axis=-1)    # (H, d_h, 2)
-    c = (a[:, 2 * d_h] * w)[:, None]                          # (H, 1)
+    P = a[:, :2 * d_h].reshape(H, 2, d_h)                     # (H, 2, d_h)
+    c = (a[:, 2 * d_h] * w)[:, None, None]                    # (H, 1, 1)
+    take = seg.take
 
     x = h.data
-    z = (x @ W.T).reshape(x.shape[:-1] + (H, d_h))            # (..., N, H, d_h)
-    # Source and destination scores of every node and head: (..., N, H, 2).
-    s = np.swapaxes(np.swapaxes(z, -2, -3) @ P, -2, -3)
-    m = mask.data[..., seg.order, None, None]                 # (..., E, 1, 1)
-    raw = s[..., seg.src, :, :1] + s[..., seg.dst, :, 1:] + m * c
+    z = (W @ np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (H, d_h, -1))
+    # Source and destination scores of every head and node: (..., H, 2, N).
+    s = P @ z
+    m = take(mask.data, seg.order)[..., None, None, :]       # (..., 1, 1, E)
+    raw = (take(s[..., :1, :], seg.src) + take(s[..., 1:, :], seg.dst)
+           + m * c)
     slope = np.where(raw > 0, 1.0, LEAKY_SLOPE)
-    alpha = seg.softmax(raw * slope)                          # (..., E, H, 1)
-    keep = 1.0 if keep is None else keep.T[seg.order, :, None]
+    alpha = seg.softmax(raw * slope)                          # (..., H, 1, E)
+    keep = 1.0 if keep is None else take(keep, seg.order)[:, None, :]
     kept = alpha * keep
     coef = m * kept
-    z_src = z[..., seg.src, :, :]                             # (..., E, H, d_h)
-    agg = seg.sum(coef * z_src)                               # (..., N, H, d_h)
+    z_src = take(z, seg.src)                                  # (..., H, d_h, E)
+    agg = seg.sum(coef * z_src)                               # (..., H, d_h, N)
     if not np.isfinite(agg.sum()):      # any non-finite entry shows in the sum
-        bad = ~np.isfinite(agg.reshape(-1, H, d_h)).all(axis=(0, 2))
+        bad = ~np.isfinite(agg.reshape(-1, H, d_h, agg.shape[-1])).all(
+            axis=(0, 2, 3))
         if bad.any():
             raise NonFiniteError(layer=layer, head=int(np.argmax(bad)))
     pos = agg > 0
@@ -189,8 +221,9 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
         out, dact = np.where(pos, agg, neg), np.where(pos, 1.0, neg + 1.0)
     else:
         out, dact = agg * pos, pos
-    out = (out.sum(axis=-2) * (1.0 / H) if final
-           else out.reshape(out.shape[:-2] + (H * d_h,)))
+    out = (out.sum(axis=-3) * (1.0 / H) if final
+           else out.reshape(out.shape[:-3] + (H * d_h, -1)))
+    out = np.swapaxes(out, -1, -2)
 
     params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
     want_params = any(v.requires_grad for v in params)
@@ -198,33 +231,37 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
         return ad.Var(out)
 
     def vjp(g):
-        g = g[:, None, :] * (1.0 / H) if final else g.reshape(agg.shape)
-        g_msg = (g * dact)[seg.dst]                           # (E, H, d_h)
-        g_coef = (g_msg * z_src).sum(axis=-1, keepdims=True)  # (E, H, 1)
+        g = g.T * (1.0 / H) if final else g.T.reshape(agg.shape)
+        g_agg = g * dact                                      # (H, d_h, N)
+        g_msg = take(g_agg, seg.dst)                          # (H, d_h, E)
+        g_coef = (g_msg * z_src).sum(axis=-2, keepdims=True)  # (H, 1, E)
         g_alpha = g_coef * m * keep
-        g_raw = alpha * (g_alpha - seg.sum(g_alpha * alpha)[seg.dst]) * slope
+        g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
+        g_raw = alpha * (g_alpha - g_shift) * slope
         grads = []
         if mask.requires_grad:
-            g_m = np.empty(m.shape[0])
-            g_m[seg.order] = (g_coef * kept + g_raw * c).sum(axis=(1, 2))
+            g_m = np.empty(m.shape[-1])
+            g_m[seg.order] = (g_coef * kept + g_raw * c).sum(axis=(0, 1))
             grads.append((mask, g_m))
         if not (want_params or h.requires_grad):
             return grads
-        by_src = ad.sum_rows(np.concatenate([g_msg * coef, g_raw], axis=-1),
-                             seg.src, seg.num_nodes)          # (N, H, d_h + 1)
-        g_s = np.stack([by_src[..., d_h], seg.sum(g_raw)[..., 0]], axis=-1)
-        g_z = by_src[..., :d_h] + np.swapaxes(
-            np.swapaxes(g_s, 0, 1) @ np.swapaxes(P, 1, 2), 0, 1)
-        g_z = g_z.reshape(x.shape[0], H * d_h)
+        # Edge terms summed by source, gathered straight into source order
+        # rather than permuting the (H, d_h, E) product.
+        order = seg.src_order
+        g_s = np.concatenate([seg.sum_by_src(take(g_raw, order)),
+                              seg.sum(g_raw)], axis=-2)       # (H, 2, N)
+        g_z = (seg.sum_by_src(take(g_agg, seg.dst_by_src)
+                              * take(coef, order))
+               + np.swapaxes(P, 1, 2) @ g_s).reshape(H * d_h, -1)
         if h.requires_grad:
-            grads.append((h, g_z @ W))
+            grads.append((h, g_z.T @ W))
         if want_params:
-            g_W = g_z.T @ x
-            g_P = np.swapaxes(z, 0, 1).transpose(0, 2, 1) @ np.swapaxes(g_s, 0, 1)
-            g_c = (g_raw * m).sum(axis=(0, 2))
+            g_W = g_z @ x
+            g_P = g_s @ np.swapaxes(z, 1, 2)                  # (H, 2, d_h)
+            g_c = (g_raw * m).sum(axis=(1, 2))
             for k, hp in enumerate(heads):
                 grads += [(hp.W, g_W[k * d_h:(k + 1) * d_h]),
-                          (hp.a, np.concatenate([g_P[k, :, 0], g_P[k, :, 1],
+                          (hp.a, np.concatenate([g_P[k].ravel(),
                                                  g_c[k] * w[k:k + 1]])),
                           (hp.w, g_c[k] * a[k, 2 * d_h:])]
         return grads

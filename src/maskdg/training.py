@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("epochs >= 0, n_descent >= 1, n_ascent >= 1")
         if self.sparsity < 0:
             raise ValueError("sparsity must be >= 0")
+        if self.mask_d_prime < 1 or self.mask_hidden < 1:
+            raise ValueError("mask_d_prime and mask_hidden must be >= 1")
         if self.inference_mask_mode not in ("all-ones", "masknet"):
             raise ValueError("inference_mask_mode must be all-ones or masknet")
         if self.dual_rho is not None:

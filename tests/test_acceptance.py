@@ -22,7 +22,8 @@ from tests.test_tasknet import reference_gat_forward
 
 
 # Criteria 1-5 run the instances of `maskdg.checks`, the same ones `maskdg
-# gradcheck` and `maskdg oracle` run. Each test restates the instance
+# gradcheck` and `maskdg oracle` run; criteria 2-5 read the session's one
+# run of them (the `oracle_runs` fixture). Each test restates the instance
 # parameters and the tolerance as literals against what the check measured.
 
 def test_criterion_1_gradient_correctness_within_10s():
@@ -44,8 +45,8 @@ def test_criterion_1_gradient_correctness_within_10s():
           f"{audit.masknet.max_rel_error:.2e}, {elapsed:.1f}s)")
 
 
-def test_criterion_2_two_path_identity_10_seeds():
-    report = checks.two_path_deviations()
+def test_criterion_2_two_path_identity_10_seeds(oracle_runs):
+    report = oracle_runs["grad_identity"][0]
     assert report.seeds == list(range(10))
     worst = max(report.deviations)
     assert worst <= 1e-10, worst
@@ -53,10 +54,8 @@ def test_criterion_2_two_path_identity_10_seeds():
           f"(max deviation {worst:.2e} over 10 seeds)")
 
 
-def test_criterion_3_surrogate_indicator_attains_grid_max():
-    start = time.monotonic()
-    report = checks.surrogate_gaps()
-    elapsed = time.monotonic() - start
+def test_criterion_3_surrogate_indicator_attains_grid_max(oracle_runs):
+    report, elapsed = oracle_runs["surrogate"]
     assert (report.seed, report.resolution) == (123, 0.05)
     value, best = report.values, report.grid_maxima
     assert value.shape == best.shape == (100,)
@@ -67,8 +66,8 @@ def test_criterion_3_surrogate_indicator_attains_grid_max():
           f"100 affine instances ({elapsed:.1f}s)")
 
 
-def test_criterion_4_weak_duality_on_real_tasknet_instances():
-    result = checks.weak_duality()
+def test_criterion_4_weak_duality_on_real_tasknet_instances(oracle_runs):
+    result = oracle_runs["dual_bound"][0]
     assert (result.seed, len(result.reports)) == (7, 20)
     for i, report in enumerate(result.reports):
         assert (report.rho, report.resolution) == (0.5, 0.05)
@@ -80,8 +79,8 @@ def test_criterion_4_weak_duality_on_real_tasknet_instances():
           "x 4 multipliers (grid 0.05)")
 
 
-def test_criterion_5_kkt_certificates_and_negative_control():
-    report = checks.kkt_certificates()
+def test_criterion_5_kkt_certificates_and_negative_control(oracle_runs):
+    report = oracle_runs["kkt"][0]
     assert report.seed == 11
     assert len(report.certificates) + report.degenerate == 20
     for cert in report.certificates:

@@ -198,10 +198,25 @@ def test_oracle_subset_runs_only_the_named_check(tmp_path):
     assert results == {"kkt": True}
 
 
-def test_oracle_all_checks_pass(tmp_path):
+def test_oracle_all_checks_pass(tmp_path, monkeypatch, oracle_runs):
+    # `maskdg oracle` runs every check at seed 0; what each check returns
+    # is the session's one run of it, which criteria 2-5 assert on.
+    calls = []
+
+    def spy(name):
+        def run(seed):
+            calls.append((name, seed))
+            return oracle_runs[name][0]
+        return run
+
+    for name in list(checks.ORACLES):
+        monkeypatch.setitem(checks.ORACLES, name, spy(name))
     out = tmp_path / "orc"
     assert main(["oracle", "--out", str(out)]) == 0
+    assert calls == [(name, 0) for name in checks.ORACLES]
     results = json.loads((out / "oracle.json").read_text())["results"]
+    assert results == {name: result.passed
+                       for name, (result, _) in oracle_runs.items()}
     assert results == dict.fromkeys(checks.ORACLES, True)
 
 
@@ -252,6 +267,31 @@ def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()     # rejected before any work
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--num-domains", "0"],
+    ["synth", "--nodes-per-domain", "-3"],
+    ["train", "--epochs", "abc"],
+    ["ablate-lambda", "--grid", "a,b"],
+    ["ablate-lambda", "--grid", "-1"],
+    ["train", "--mask-d-prime", "0"],
+    ["train", "--tasknet-attn-dropout", "1.5"],
+    ["train", "--tasknet-layer-dropout", "1.5"],
+    ["train", "--mask-enabled", "maybe"],
+], ids=["synth-no-domains", "synth-negative-nodes", "train-epochs-not-int",
+        "grid-not-numbers", "grid-negative", "train-mask-d-prime-0",
+        "train-attn-dropout-over-1", "train-layer-dropout-over-1",
+        "train-mask-enabled-not-bool"])
+def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
+                                                  argv):
+    source = [] if argv[0] == "synth" else ["--source", str(domains[0])]
+    rc = main([argv[0], *source, *argv[1:], "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()     # rejected before any work
 

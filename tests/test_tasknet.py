@@ -307,6 +307,72 @@ def test_loss_over_masks_rows_do_not_depend_on_chunking(monkeypatch):
         assert abs(whole[i] - single) <= 1e-12
 
 
+# -- the edge-last layout ------------------------------------------------------
+
+def scatter_graph():
+    """Edges in random order; node 5 has in-edges but no out-edges, and
+    node 0 sends 20 or more edges, so its source segment is long."""
+    r = np.random.default_rng(17)
+    src = np.concatenate([np.zeros(20, int), r.integers(0, 5, size=40)])
+    dst = r.integers(0, 6, size=60)
+    pairs = [(int(s), int(d)) for s, d in zip(src, dst)] + [(0, 5)]
+    pairs += [(i, i) for i in range(5)]
+    perm = r.permutation(len(pairs))
+    return make_edges([pairs[i] for i in perm], EdgeOrigin.ORIGINAL), 6
+
+
+def test_source_scatter_matches_add_at_and_sum_rows():
+    edges, n = scatter_graph()
+    seg = EdgeSegments(edges, n)
+    E = seg.src.size
+    r = np.random.default_rng(5)
+    # Small integers sum exactly in any order, so np.add.at is a bit-exact
+    # reference for where every edge's value lands.
+    x = r.integers(-50, 50, size=(2, 3, E)).astype(np.float64)
+    ref = np.zeros((2, 3, n))
+    np.add.at(ref.T, seg.src, x.T)
+    out = seg.sum_by_src(seg.take(x, seg.src_order))
+    np.testing.assert_array_equal(out, ref)
+    assert not out[..., 5].any()                 # no out-edges: zeros
+    np.testing.assert_array_equal(seg.dst_by_src, seg.dst[seg.src_order])
+    # On general floats it adds in the order of the row-wise sum_rows.
+    x = r.normal(size=(2, 3, E)) * np.exp(r.normal(size=E) * 4)
+    rows = ad.sum_rows(x.reshape(-1, E).T, seg.src, n)
+    np.testing.assert_array_equal(seg.sum_by_src(seg.take(x, seg.src_order)),
+                                  rows.T.reshape(2, 3, n))
+
+
+def test_edge_gathers_are_contiguous(monkeypatch):
+    edges, n = scatter_graph()
+    seg = EdgeSegments(edges, n)
+    z = np.random.default_rng(2).normal(size=(n, 3, 2)).transpose(1, 2, 0)
+    fancy = z[..., seg.src]
+    assert not fancy.flags.c_contiguous          # edge-major behind the view
+    taken = seg.take(z, seg.src)
+    assert taken.flags.c_contiguous
+    np.testing.assert_array_equal(taken, fancy)
+
+    # every gather in the layer, forward and backward, goes through take
+    gathered = []
+
+    def spy(x, idx):
+        out = np.take(x, idx, axis=-1)
+        gathered.append(out)
+        return out
+
+    monkeypatch.setattr(seg, "take", spy)
+    r = np.random.default_rng(3)
+    H, d_h = 3, 2
+    heads = [HeadParams(ad.param(r.normal(size=(d_h, 4))),
+                        ad.param(r.normal(size=2 * d_h + 1)),
+                        ad.param(np.ones(1))) for _ in range(H)]
+    x = ad.param(r.normal(size=(n, 4)))
+    mask = ad.param(r.uniform(size=seg.src.size))
+    ad.vsum(gat_layer(x, heads, mask, seg, "elu", False)).backward()
+    assert (H, d_h, seg.src.size) in [g.shape for g in gathered]   # z_src
+    assert all(g.flags.c_contiguous for g in gathered)
+
+
 # -- the fused layer's hand-written gradient ------------------------------------
 
 @pytest.mark.parametrize("activation,final,dropout", [
