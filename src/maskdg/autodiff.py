@@ -201,19 +201,6 @@ def relu(x: Var) -> Var:
     return Var(x.data * mask, parents=(x,), vjp=lambda g: ((x, g * mask),))
 
 
-def leaky_relu(x: Var, slope: float = 0.2) -> Var:
-    factor = np.where(x.data > 0, 1.0, slope)
-    return Var(x.data * factor, parents=(x,), vjp=lambda g: ((x, g * factor),))
-
-
-def elu(x: Var, alpha: float = 1.0) -> Var:
-    pos = x.data > 0
-    expm1 = alpha * np.expm1(np.minimum(x.data, 0.0))
-    out_data = np.where(pos, x.data, expm1)
-    local = np.where(pos, 1.0, expm1 + alpha)
-    return Var(out_data, parents=(x,), vjp=lambda g: ((x, g * local),))
-
-
 def sigmoid(x: Var) -> Var:
     # Stable in both tails.
     s = np.where(x.data >= 0,
@@ -261,13 +248,6 @@ def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
         out[rows] = np.add.reduceat(x[stable_order(index, num_rows)], starts,
                                     axis=0)
     return out
-
-
-def segment_sum(x: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
-    """Sum rows of x into `num_segments` buckets; adjoint is a gather."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = sum_rows(x.data, segment_ids, num_segments)
-    return Var(out_data, parents=(x,), vjp=lambda g: ((x, g[segment_ids]),))
 
 
 def concat(vars_, axis: int = 0) -> Var:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, checks
 from .enrich import EnrichConfig, Enricher
 from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
-                    load_dataset, load_graph, save_graph)
+                    load_dataset, load_graph, save_graph, write_atomic)
 from .masknet import dump_mask_csv, mask_forward
 from .synth import SynthConfig, generate, verify_shift
 from .tasknet import TaskNetConfig
@@ -182,7 +182,7 @@ class RunContext:
             "artifacts": list(artifacts),
         }
         self.manifest_path = self.out / "manifest.json"
-        self.manifest_path.write_bytes(_json_bytes(manifest))
+        write_atomic(self.manifest_path, _json_bytes(manifest))
         self.manifest_sha = hashlib.sha256(
             self.manifest_path.read_bytes()).hexdigest()
 
@@ -190,16 +190,16 @@ class RunContext:
         payload = dict(payload)
         payload["manifest_sha256"] = self.manifest_sha
         path = self.out / name
-        path.write_bytes(_json_bytes(payload))
+        write_atomic(path, _json_bytes(payload))
         return path
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out / name
-        path.write_text(text)
+        write_atomic(path, text)
         return path
 
     def finish(self) -> None:
-        (self.out / "timings.json").write_bytes(_json_bytes({
+        write_atomic(self.out / "timings.json", _json_bytes({
             "subcommand": self.subcommand,
             "seconds": time.time() - self.started,
         }))
@@ -459,6 +459,10 @@ def main(argv=None) -> int:
     except (FloatingPointError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

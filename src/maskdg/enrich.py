@@ -16,7 +16,8 @@ import numpy as np
 
 from .graph import EdgeOrigin, Graph, coalesce, make_edges
 
-DENSE_SOLVER_CAP = 5000
+# Most nodes whose (N, N) Laplacian buffer spectral_edges will build.
+LAPLACIAN_CAP = 5000
 
 
 @dataclass
@@ -27,7 +28,7 @@ class EnrichConfig:
     gamma_spec: float = 0.1
     kernel_bandwidth: object = "median"   # "median" or a positive float
     add_self_loops: bool = True
-    solver_cap: int = DENSE_SOLVER_CAP
+    solver_cap: int = LAPLACIAN_CAP
 
     def __post_init__(self):
         if self.k < 1:
@@ -46,7 +47,7 @@ class EnrichConfig:
     def check_graph(self, g: Graph) -> None:
         """Raise ValueError unless `g` can be enriched with this config: the
         kNN set needs k < N, the spectral set clusters <= N and N within
-        the dense eigensolver cap."""
+        solver_cap, the cap on its (N, N) Laplacian buffer."""
         n, name = g.num_nodes, g.domain_id
         if self.gamma_knn > 0 and self.k >= n:
             raise ValueError(f"graph {name!r} has {n} nodes; kNN needs "
@@ -56,7 +57,7 @@ class EnrichConfig:
                              f"the {self.clusters} spectral clusters")
         if self.gamma_spec > 0 and n > self.solver_cap:
             raise ValueError(f"graph {name!r} has {n} nodes, more than the "
-                             f"dense eigensolver cap ({self.solver_cap})")
+                             f"(N, N) Laplacian cap ({self.solver_cap})")
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,91 @@ def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator,
     return assign
 
 
+# The Krylov path stops when every Ritz pair has a residual
+# |L v - theta v|_2 <= _RITZ_TOL (|L|_2 <= 2). Its basis may hold at most
+# _KRYLOV_SHARE * N columns, and it does not start when _MIN_BLOCKS blocks,
+# the depth it typically needs, would pass that: the dense eigh is cheaper.
+_RITZ_TOL = 1e-13
+_KRYLOV_SHARE = 0.5
+_MIN_BLOCKS = 12
+_START_SEED = 0
+
+
+def _krylov_eigenpairs(lap: np.ndarray, clusters: int):
+    """The `clusters` smallest eigenpairs of `lap` by block Krylov
+    Rayleigh-Ritz, or None where the dense eigh is to take over.
+
+    The basis grows by blocks M q = q - lap @ q of M = I - L, each
+    orthogonalised against it; lap @ q is kept, so the Rayleigh-Ritz matrix
+    costs no further (N, N) product. The Gaussian start block has a part
+    along every eigenvector (almost surely), and the powers of M bring in
+    those of the smallest eigenvalues of L first.
+    """
+    n = lap.shape[0]
+    block = clusters + 1
+    cap = int(_KRYLOV_SHARE * n)
+    if block * _MIN_BLOCKS > cap:
+        return None
+    basis = np.empty((n, cap))
+    lap_basis = np.empty((n, cap))
+    ritz = np.empty((cap, cap))     # upper triangle of basis.T @ lap @ basis
+    start = np.random.default_rng(_START_SEED).standard_normal((n, block))
+    q = np.linalg.qr(start)[0]
+    m = checked = 0
+    while True:
+        lq = lap @ q
+        basis[:, m:m + q.shape[1]] = q
+        lap_basis[:, m:m + q.shape[1]] = lq
+        m += q.shape[1]
+        ritz[:m, m - q.shape[1]:m] = basis[:, :m].T @ lq
+        # Next block: project out the basis, drop the directions it (nearly)
+        # spans already, project again so that rounding left by the first
+        # pass is not magnified by the normalisation.
+        y = q - lq
+        y -= basis[:, :m] @ (basis[:, :m].T @ y)
+        u, s, _ = np.linalg.svd(y, full_matrices=False)
+        q = u[:, s > 1e-10]
+        q -= basis[:, :m] @ (basis[:, :m].T @ q)
+        q = np.linalg.qr(q)[0]
+        last = not q.shape[1] or m + q.shape[1] > cap
+        # A Ritz check costs O(m^3): once the basis is wide, space them by a
+        # quarter of its width.
+        if m >= clusters and (last or m - checked >= max(block, checked // 4)):
+            checked = m
+            theta, w = np.linalg.eigh(ritz[:m, :m], UPLO="U")
+            theta, w = theta[:clusters], w[:, :clusters]
+            vecs = basis[:, :m] @ w
+            resid = lap_basis[:, :m] @ w - vecs * theta
+            if np.linalg.norm(resid, axis=0).max() <= _RITZ_TOL:
+                return theta, vecs
+        if last:
+            return None
+
+
+def _leading_eigenpairs(lap: np.ndarray, clusters: int):
+    """The `clusters` smallest eigenvalues of the normalized Laplacian `lap`,
+    ascending, and orthonormal eigenvectors for them.
+
+    k-means reads the row-normalized embedding only through distances and
+    means, which a rotation of the basis within the leading subspace leaves
+    unchanged; so the Krylov path only has to pin that subspace down, which
+    its residual bound does. Small graphs, and large ones the Krylov path
+    gives up on, take the dense eigh.
+    """
+    try:
+        found = _krylov_eigenpairs(lap, clusters)
+        if found is not None:
+            return found
+        eigvals, eigvecs = np.linalg.eigh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"eigendecomposition failed: {exc}") from exc
+    return eigvals[:clusters], eigvecs[:, :clusters]
+
+
 def spectral_edges(X: np.ndarray, clusters: int,
                    bandwidth="median",
                    rng: Optional[np.random.Generator] = None,
-                   solver_cap: int = DENSE_SOLVER_CAP) -> np.ndarray:
+                   solver_cap: int = LAPLACIAN_CAP) -> np.ndarray:
     """All directed intra-cluster pairs after spectral clustering of X.
 
     RBF affinity with a median-distance bandwidth by default, symmetric
@@ -216,22 +298,17 @@ def spectral_edges(X: np.ndarray, clusters: int,
         raise ValueError(f"need at least {clusters} nodes, got {n}")
     if n > solver_cap:
         raise ValueError(
-            f"{n} nodes exceeds the dense eigensolver cap ({solver_cap})"
+            f"{n} nodes exceeds the (N, N) Laplacian cap ({solver_cap})"
         )
     rng = rng or np.random.default_rng()
     lap = _normalized_laplacian(X, bandwidth)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigendecomposition failed: {exc}") from exc
+    eigvals, eigvecs = _leading_eigenpairs(lap, clusters)
     # Eigenvalue 1 marks kernel-null directions (the RBF kernel is PSD, so
     # the normalized affinity spectrum lives in [0, 1]). Their eigenvectors
     # are an arbitrary orthonormal basis carrying no similarity structure;
-    # keeping them would split degenerate inputs on solver noise.
-    informative = eigvals[:clusters] < 1.0 - 1e-10
-    emb = eigvecs[:, :clusters][:, informative]
-    if emb.shape[1] == 0:
-        emb = eigvecs[:, :1]
+    # keeping them would split degenerate inputs on solver noise. Eigenvalue
+    # 0, with eigenvector D^1/2 1, is always there, so one direction stays.
+    emb = eigvecs[:, eigvals < 1.0 - 1e-10]
     row_norm = np.linalg.norm(emb, axis=1)
     emb = emb / np.where(row_norm > 0, row_norm, 1.0)[:, None]
     assign = _kmeans(emb, clusters, rng)

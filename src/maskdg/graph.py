@@ -10,6 +10,7 @@ graphs.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -279,6 +280,20 @@ def load_dataset(feature_file, edge_file, label_file, domain_id: str = "default"
     return Graph(features, edges, labels, num_classes, domain_id)
 
 
+def write_atomic(path, data) -> None:
+    """Write `data` (bytes, or str as UTF-8) to `path` by way of a temporary
+    file in the same directory and os.replace: readers see the old file or
+    the new one, never a part, and a failed write leaves no temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # On-disk graph format: a line-oriented text file. Floats are written with
 # repr() so a save/load cycle is bit-exact.
 
@@ -286,7 +301,6 @@ _MAGIC = "maskdg-graph v1"
 
 
 def save_graph(g: Graph, path) -> None:
-    path = Path(path)
     lines = [
         _MAGIC,
         f"nodes {g.num_nodes}",
@@ -302,7 +316,7 @@ def save_graph(g: Graph, path) -> None:
     lines.append(f"edges {g.num_edges}")
     for src, dst, origin in g.edges:
         lines.append(f"{src} {dst} {EdgeOrigin(origin).name}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_graph(path) -> Graph:

@@ -133,9 +133,8 @@ def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask
 
 def dump_mask_csv(path, edges: np.ndarray, mask: EdgeMask) -> None:
     """Write 'src,dst,origin,s' rows for offline mask analysis."""
-    from .graph import EdgeOrigin
+    from .graph import EdgeOrigin, write_atomic
 
-    with open(path, "w") as f:
-        f.write("src,dst,origin,s\n")
-        for (src, dst, origin), s in zip(np.asarray(edges), mask.values):
-            f.write(f"{src},{dst},{EdgeOrigin(origin).name},{repr(float(s))}\n")
+    rows = [f"{src},{dst},{EdgeOrigin(origin).name},{repr(float(s))}\n"
+            for (src, dst, origin), s in zip(np.asarray(edges), mask.values)]
+    write_atomic(path, "src,dst,origin,s\n" + "".join(rows))

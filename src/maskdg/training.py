@@ -14,13 +14,13 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .enrich import EnrichConfig, EnrichedGraph, Enricher
 from .gradients import grad_masknet, grad_tasknet
-from .graph import UNLABELED, DomainDataset, EdgeOrigin, Graph
+from .graph import UNLABELED, DomainDataset, EdgeOrigin, Graph, write_atomic
 from .masknet import EdgeMask, MaskNetParams, init_masknet, mask_forward
 from .optim import AdamState, adam_step
 from .tasknet import (TaskNetConfig, TaskNetParams, init_tasknet,
@@ -203,19 +203,6 @@ def evaluate(model: TrainedModel, graph: Graph,
                              cfg.tasknet)
     preds = logits.argmax(axis=1)
     return f1_metrics(graph.labels, preds, graph.num_classes)
-
-
-def aggregate_metrics(per_domain: Dict[str, Metrics]) -> dict:
-    """Worst-case and average micro/macro across domains."""
-    micros = [m.micro_f1 for m in per_domain.values()]
-    macros = [m.macro_f1 for m in per_domain.values()]
-    return {
-        "per_domain": {k: m.to_dict() for k, m in per_domain.items()},
-        "worst_micro_f1": min(micros),
-        "avg_micro_f1": float(np.mean(micros)),
-        "worst_macro_f1": min(macros),
-        "avg_macro_f1": float(np.mean(macros)),
-    }
 
 
 def tasknet_descent_step(task: TaskNetParams, s: np.ndarray,
@@ -414,7 +401,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    Path(path).write_bytes(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> TrainedModel:

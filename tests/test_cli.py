@@ -1,6 +1,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -353,3 +354,71 @@ def test_cut_or_corrupted_graph_exits_0_or_1(domains, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc in (0, 1) and "Traceback" not in err
     assert rc == 0 or err.startswith("error: "), err
+
+
+# -- artifacts are replaced whole or not at all; memory exhaustion exits 1 ---
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(domains, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert run_train(domains, out) == 0
+    return out / "model.ckpt"
+
+
+def artifact_writers(domains, checkpoint, out):
+    from maskdg.cli import RunContext
+    from maskdg.masknet import EdgeMask, dump_mask_csv
+    from maskdg.training import load_checkpoint, save_checkpoint
+
+    graph = load_graph(domains[0])
+    model = load_checkpoint(checkpoint)
+    ctx = RunContext(out, "test", {}, 0)
+    mask = EdgeMask(values=np.full(graph.num_edges, 0.5),
+                    scorable=np.ones(graph.num_edges, bool))
+    return {
+        "save_graph": lambda p: save_graph(graph, p),
+        "save_checkpoint": lambda p: save_checkpoint(p, model),
+        "dump_mask_csv": lambda p: dump_mask_csv(p, graph.edges, mask),
+        "write_json": lambda p: ctx.write_json(p.name, {"x": 1}),
+        "write_text": lambda p: ctx.write_text(p.name, "text\n"),
+        "finish": lambda p: ctx.finish(),
+    }
+
+
+@pytest.mark.parametrize("writer", ["save_graph", "save_checkpoint",
+                                    "dump_mask_csv", "write_json",
+                                    "write_text", "finish"])
+def test_failed_replace_keeps_the_old_artifact(domains, trained_checkpoint,
+                                               tmp_path, monkeypatch, writer):
+    import os
+
+    writers = artifact_writers(domains, trained_checkpoint, tmp_path)
+    path = tmp_path / ("timings.json" if writer == "finish" else "artifact")
+    path.write_bytes(b"old contents")
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        writers[writer](path)
+    assert path.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    monkeypatch.undo()
+    writers[writer](path)
+    assert path.read_bytes() != b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys,
+                                                 monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr("maskdg.cli.generate", exhausted)
+    rc = main(["synth", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: out of memory: Unable to allocate 7.45 GiB for "
+                   "an array\n")

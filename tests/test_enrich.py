@@ -15,6 +15,7 @@ from maskdg.enrich import (
     spectral_edges,
 )
 from maskdg.graph import EdgeOrigin, Graph, coalesce, edge_stats, make_edges
+from maskdg.synth import SynthConfig, generate
 
 
 def brute_force_knn(X, k):
@@ -227,6 +228,167 @@ def test_spectral_rejects_oversized_input():
 def test_spectral_needs_enough_nodes():
     with pytest.raises(ValueError, match="at least"):
         spectral_edges(np.zeros((3, 2)), 5, rng=np.random.default_rng(0))
+
+
+# -- the spectral solver: block Krylov path against the dense eigh oracle ----
+
+def citation_features(seed, n=800):
+    """Features of the Cora-like graph of the citation benchmark."""
+    synth = SynthConfig(seed=seed, nodes_per_domain=n, num_classes=7,
+                        feature_dim=16, num_domains=1,
+                        spurious_strength=0.005, backbone_degree=3.0)
+    return generate(synth).source_graphs[0].features
+
+
+@pytest.fixture
+def krylov_everywhere(monkeypatch):
+    """Lets the Krylov path run on graphs of any size."""
+    monkeypatch.setattr(enrich_mod, "_KRYLOV_SHARE", 2.0)
+    monkeypatch.setattr(enrich_mod, "_MIN_BLOCKS", 1)
+
+
+def krylov_runs(lap, clusters):
+    return enrich_mod._krylov_eigenpairs(lap, clusters) is not None
+
+
+def dense_eigenpairs(lap, clusters):
+    eigvals, eigvecs = np.linalg.eigh(lap)
+    return eigvals[:clusters], eigvecs[:, :clusters]
+
+
+def edges_both_paths(monkeypatch, X, clusters, seed=0):
+    """spectral_edges and the rng state after it, as it runs and with the
+    Krylov path switched off."""
+    out = []
+    for dense in (False, True):
+        rng = np.random.default_rng(seed)
+        with monkeypatch.context() as m:
+            if dense:
+                m.setattr(enrich_mod, "_krylov_eigenpairs",
+                          lambda lap, clusters: None)
+            edges = spectral_edges(X, clusters, rng=rng)
+        out.append((edges, rng.bit_generator.state))
+    return out
+
+
+def assert_same_subspace(got, want):
+    """Same eigenvalues, orthonormal vectors, and the same projector onto
+    the directions spectral_edges keeps (eigenvalue < 1 - 1e-10: the
+    eigenvectors of eigenvalue 1 are any basis of a degenerate space)."""
+    (vals, vecs), (ref_vals, ref_vecs) = got, want
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(vals.size), rtol=0,
+                               atol=1e-12)
+    keep, ref_keep = vals < 1.0 - 1e-10, ref_vals < 1.0 - 1e-10
+    np.testing.assert_array_equal(keep, ref_keep)
+    np.testing.assert_allclose(vecs[:, keep] @ vecs[:, keep].T,
+                               ref_vecs[:, keep] @ ref_vecs[:, keep].T,
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed,n,clusters",
+                         [(1, 800, 7), (5, 800, 7), (11, 800, 7),
+                          (3, 1200, 30)])
+def test_krylov_path_matches_eigh_on_citation_graphs(monkeypatch, seed, n,
+                                                    clusters):
+    X = citation_features(seed, n)
+    lap = enrich_mod._normalized_laplacian(X, "median")
+    assert krylov_runs(lap, clusters)
+    assert_same_subspace(enrich_mod._leading_eigenpairs(lap, clusters),
+                         dense_eigenpairs(lap, clusters))
+    (krylov, krylov_rng), (dense, dense_rng) = edges_both_paths(
+        monkeypatch, X, clusters, seed)
+    np.testing.assert_array_equal(krylov, dense)
+    assert krylov_rng == dense_rng
+
+
+def spectral_fixtures():
+    g = np.random.default_rng(7)
+    blobs = np.vstack([g.normal(size=(10, 3)) * 0.1,
+                       g.normal(size=(10, 3)) * 0.1 + 10.0])
+    return {
+        "blobs": (blobs, 2),
+        "random": (np.random.default_rng(8).normal(size=(15, 4)), 3),
+        "singletons": (np.random.default_rng(9).normal(size=(6, 3)) * 10, 6),
+        "identical": (np.ones((8, 3)) * 2.5, 2),
+        "n1000": (np.random.default_rng(0).normal(size=(1000, 64)), 4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(spectral_fixtures()))
+def test_krylov_path_gives_the_eigh_edges_on_the_fixtures(
+        monkeypatch, krylov_everywhere, name):
+    X, clusters = spectral_fixtures()[name]
+    lap = enrich_mod._normalized_laplacian(X, "median")
+    assert krylov_runs(lap, clusters)
+    assert_same_subspace(enrich_mod._leading_eigenpairs(lap, clusters),
+                         dense_eigenpairs(lap, clusters))
+    (krylov, krylov_rng), (dense, dense_rng) = edges_both_paths(
+        monkeypatch, X, clusters)
+    np.testing.assert_array_equal(krylov, dense)
+    assert krylov_rng == dense_rng
+
+
+def test_rank_deficient_affinity_drops_the_same_directions(krylov_everywhere):
+    # 3 distinct rows, 5 clusters: L has eigenvalue 1 N - 3 times, and the
+    # filter must keep the same 3 directions on both paths. (The edges may
+    # differ: k-means has to split copies of one row, and the solver's
+    # rounding noise decides how, on either path.)
+    X = np.random.default_rng(3).normal(size=(3, 4)).repeat(10, axis=0)
+    lap = enrich_mod._normalized_laplacian(X, "median")
+    assert krylov_runs(lap, 5)
+    got = enrich_mod._leading_eigenpairs(lap, 5)
+    assert (got[0] < 1.0 - 1e-10).sum() == 3
+    assert_same_subspace(got, dense_eigenpairs(lap, 5))
+
+
+@pytest.mark.parametrize("n,clusters", [(20, 2), (40, 3), (60, 2), (60, 4),
+                                        (120, 6), (150, 7)])
+def test_small_graphs_take_the_dense_path(n, clusters):
+    # the sizes of the unit, acceptance and benchmark graphs (dg_2x2: 120
+    # nodes, 6 clusters) whose edges must stay bit-identical
+    X = np.random.default_rng(n).normal(size=(n, 5))
+    lap = enrich_mod._normalized_laplacian(X, "median")
+    assert not krylov_runs(lap, clusters)
+    got = enrich_mod._leading_eigenpairs(lap, clusters)
+    for a, b in zip(got, dense_eigenpairs(lap, clusters)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_unmet_residual_falls_back_to_eigh_bit_for_bit(monkeypatch):
+    lap = enrich_mod._normalized_laplacian(citation_features(1, 300),
+                                           "median")
+    assert krylov_runs(lap, 7)
+    monkeypatch.setattr(enrich_mod, "_RITZ_TOL", 0.0)
+    assert not krylov_runs(lap, 7)
+    got = enrich_mod._leading_eigenpairs(lap, 7)
+    for a, b in zip(got, dense_eigenpairs(lap, 7)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("path", ["dense", "krylov"])
+@pytest.mark.parametrize("kind", ["identical", "far_blobs"])
+def test_an_informative_direction_always_remains(monkeypatch, request, path,
+                                                 kind):
+    # L always has eigenvalue 0 (eigenvector D^1/2 1), so the filter keeps
+    # at least one direction
+    if path == "krylov":
+        request.getfixturevalue("krylov_everywhere")
+    else:
+        monkeypatch.setattr(enrich_mod, "_krylov_eigenpairs",
+                            lambda lap, clusters: None)
+    g = np.random.default_rng(4)
+    if kind == "identical":
+        X = np.full((12, 3), -7.0)
+    else:
+        # most pairs lie within a blob, so the median bandwidth makes every
+        # cross-blob affinity underflow to 0: eigenvalue 0 twice
+        X = np.vstack([g.normal(size=(10, 3)), g.normal(size=(3, 3)) + 1e4])
+    lap = enrich_mod._normalized_laplacian(X, "median")
+    assert krylov_runs(lap, 3) == (path == "krylov")
+    vals, _ = enrich_mod._leading_eigenpairs(lap, 3)
+    assert (vals < 1.0 - 1e-10).sum() >= 1
+    assert spectral_edges(X, 3, rng=np.random.default_rng(0)).shape[0] > 0
 
 
 def test_sample_identity_and_empty():

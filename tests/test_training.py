@@ -345,19 +345,6 @@ def test_metrics_need_labels():
         f1_metrics(np.array([-1]), np.array([0]), 2)
 
 
-def test_aggregate_metrics_worst_and_average():
-    from maskdg.training import Metrics, aggregate_metrics
-
-    agg = aggregate_metrics({
-        "a": Metrics(micro_f1=0.8, macro_f1=0.7, accuracy=0.8),
-        "b": Metrics(micro_f1=0.6, macro_f1=0.5, accuracy=0.6),
-    })
-    assert agg["worst_micro_f1"] == 0.6
-    assert agg["avg_micro_f1"] == pytest.approx(0.7)
-    assert agg["worst_macro_f1"] == 0.5
-    assert set(agg["per_domain"]) == {"a", "b"}
-
-
 def test_inference_mask_modes_differ_after_training():
     ds = two_domain_dataset()
     result = train(ds, small_cfg(epochs=3, sparsity=10.0))
