@@ -391,6 +391,34 @@ def test_an_informative_direction_always_remains(monkeypatch, request, path,
     assert spectral_edges(X, 3, rng=np.random.default_rng(0)).shape[0] > 0
 
 
+@pytest.mark.parametrize("path", ["dense", "krylov"])
+def test_more_components_than_clusters_stay_sane(monkeypatch, request, path):
+    # 4 components, 2 clusters: eigenvalue 0 has multiplicity 4, a tie
+    # across the clusters boundary, so each solver returns its own basis of
+    # a 2-dimensional part of that space and the edges may differ between
+    # the paths; on either, a component lies wholly inside one cluster
+    if path == "krylov":
+        request.getfixturevalue("krylov_everywhere")
+    else:
+        monkeypatch.setattr(enrich_mod, "_krylov_eigenpairs",
+                            lambda lap, clusters: None)
+    g = np.random.default_rng(6)
+    X = np.vstack([g.normal(size=(8, 3)) * 0.1 + 1e3 * i for i in range(4)])
+    lap = enrich_mod._normalized_laplacian(X, 1.0)
+    assert krylov_runs(lap, 2) == (path == "krylov")
+    vals, vecs = enrich_mod._leading_eigenpairs(lap, 2)
+    np.testing.assert_allclose(vals, 0.0, atol=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
+    edges = spectral_edges(X, 2, bandwidth=1.0, rng=np.random.default_rng(0))
+    pairs = {(int(s), int(d)) for s, d in edges[:, :2]}
+    assert len(pairs) == edges.shape[0]
+    assert all(s != d and (d, s) in pairs for s, d in pairs)
+    component = np.arange(32) // 8
+    assert all((s, d) in pairs for s in range(32) for d in range(32)
+               if s != d and component[s] == component[d])
+    assert 4 * 8 * 7 <= len(pairs) < 32 * 31
+
+
 def test_sample_identity_and_empty():
     edges = make_edges([(0, 1), (1, 2), (2, 0)], EdgeOrigin.KNN)
     rng = np.random.default_rng(0)

@@ -33,12 +33,11 @@ class RunError(Exception):
     pass
 
 
-def run_bench(seed: int, trace: int, seconds: float) -> dict:
+def run_bench(seed: int, trace: int) -> dict:
     """One `--workload all` run: its result JSON, with the environments its
     workloads printed under "envs"."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
-           "--workload", "all", "--seed", str(seed), "--seconds",
-           str(seconds), "--trace", str(trace)]
+           "--workload", "all", "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.splitlines()
@@ -90,8 +89,6 @@ def parse_args(argv=None):
     p.add_argument("--tag", type=tag, required=True,
                    help="names the output file BENCH_<tag>.json")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=25.0,
-                   help="timed seconds per workload and run")
     return p.parse_args(argv)
 
 
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
     try:
         for seed in args.seeds:
             for trace, runs in ((0, plain), (1, traced)):
-                runs.append(run_bench(seed, trace, args.seconds))
+                runs.append(run_bench(seed, trace))
                 print(f"seed {seed} trace {trace}: "
                       f"{runs[-1]['failed']} of {runs[-1]['attempted']} "
                       f"iterations failed", flush=True)
@@ -116,7 +113,6 @@ def main(argv=None) -> int:
         "tag": args.tag,
         "command": "perfbench/run.py --workload all --trace 0|1",
         "seeds": args.seeds,
-        "seconds": args.seconds,
         "environment": envs[0],
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
