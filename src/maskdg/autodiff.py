@@ -6,9 +6,12 @@ lives for the duration of one loss evaluation; ``backward`` topologically
 sorts the graph reachable from the output and accumulates ``.grad`` on every
 node that requires it.
 
-Only the operations the mask/attention networks need are implemented, each
-with an exact vector-Jacobian product. Softmax stabilization shifts use
-detached constants, which leaves gradients exact.
+The networks' layers are each one op with a hand-written vector-Jacobian
+product, built on `Var` in their own modules: the scorer in `masknet`, each
+attention layer and the cross-entropy in `tasknet`. What remains here is the
+arithmetic that glues them together (sums, products, 2-D matmul, a slice,
+dropout) and the segment helpers `stable_order` and `sum_rows` that their
+VJPs share.
 """
 
 from __future__ import annotations
@@ -16,17 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum `g` down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 class Var:
@@ -40,10 +43,6 @@ class Var:
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self._parents = parents
         self._vjp = vjp
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -112,9 +111,6 @@ class Var:
     def __sub__(self, other):
         return self + (-as_var(other))
 
-    def __rsub__(self, other):
-        return as_var(other) + (-self)
-
     def __mul__(self, other):
         other = as_var(other)
         out_data = self.data * other.data
@@ -128,32 +124,13 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = as_var(other)
-        a_data, b_data = self.data, other.data
-        out_data = a_data / b_data
-
-        def vjp(g):
-            return ((self, _unbroadcast(g / b_data, a_data.shape)),
-                    (other, _unbroadcast(-g * a_data / (b_data * b_data),
-                                         b_data.shape)))
-
-        return Var(out_data, parents=(self, other), vjp=vjp)
-
     def __matmul__(self, other):
         other = as_var(other)
         a_data, b_data = self.data, other.data
         out_data = a_data @ b_data
 
-        def vjp(g):
-            if b_data.ndim == 1:          # (n, k) @ (k,) -> (n,)
-                ga = np.outer(g, b_data) if a_data.ndim == 2 else g * b_data
-                gb = a_data.T @ g if a_data.ndim == 2 else g * a_data
-            else:                          # (n, k) @ (k, m) -> (n, m)
-                ga = g @ b_data.T
-                gb = a_data.T @ g
-            return ((self, ga.reshape(a_data.shape)),
-                    (other, gb.reshape(b_data.shape)))
+        def vjp(g):                        # (n, k) @ (k, m) -> (n, m)
+            return ((self, g @ b_data.T), (other, a_data.T @ g))
 
         return Var(out_data, parents=(self, other), vjp=vjp)
 
@@ -194,41 +171,7 @@ def param_vars(p: Params, track: bool) -> Params:
     return p.map(param if track else constant)
 
 
-# -- nonlinearities -------------------------------------------------------
-
-def relu(x: Var) -> Var:
-    mask = x.data > 0
-    return Var(x.data * mask, parents=(x,), vjp=lambda g: ((x, g * mask),))
-
-
-def sigmoid(x: Var) -> Var:
-    # Stable in both tails.
-    s = np.where(x.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    return Var(s, parents=(x,), vjp=lambda g: ((x, g * s * (1.0 - s)),))
-
-
-def exp(x: Var) -> Var:
-    e = np.exp(x.data)
-    return Var(e, parents=(x,), vjp=lambda g: ((x, g * e),))
-
-
-def log(x: Var) -> Var:
-    d = x.data
-    return Var(np.log(d), parents=(x,), vjp=lambda g: ((x, g / d),))
-
-
-# -- shape / indexing -----------------------------------------------------
-
-def gather_rows(x: Var, index: np.ndarray) -> Var:
-    """Select rows x[index]; the adjoint scatter-adds back."""
-    index = np.asarray(index, dtype=np.int64)
-    out_data = x.data[index]
-
-    return Var(out_data, parents=(x,),
-               vjp=lambda g: ((x, sum_rows(g, index, x.data.shape[0])),))
-
+# -- indexing -------------------------------------------------------------
 
 def stable_order(ids: np.ndarray, num_ids: int) -> np.ndarray:
     """np.argsort(ids, kind="stable"), as a radix sort when ids fit in 16 bits."""
@@ -250,19 +193,6 @@ def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     return out
 
 
-def concat(vars_, axis: int = 0) -> Var:
-    vars_ = [as_var(v) for v in vars_]
-    out_data = np.concatenate([v.data for v in vars_], axis=axis)
-    sizes = [v.data.shape[axis] for v in vars_]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple((v, p) for v, p in zip(vars_, pieces))
-
-    return Var(out_data, parents=tuple(vars_), vjp=vjp)
-
-
 def slice1d(x: Var, start: int, stop: int) -> Var:
     out_data = x.data[start:stop]
 
@@ -274,55 +204,15 @@ def slice1d(x: Var, start: int, stop: int) -> Var:
     return Var(out_data, parents=(x,), vjp=vjp)
 
 
-def take_per_row(x: Var, cols: np.ndarray) -> Var:
-    """x[i, cols[i]] for each row i."""
-    cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(x.data.shape[0])
-    out_data = x.data[rows, cols]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, cols] = g          # one entry per row: no duplicates
-        return ((x, gx),)
-
-    return Var(out_data, parents=(x,), vjp=vjp)
-
-
-def reshape(x: Var, shape) -> Var:
-    old = x.data.shape
-    return Var(x.data.reshape(shape), parents=(x,),
-               vjp=lambda g: ((x, g.reshape(old)),))
-
-
 def transpose(x: Var) -> Var:
     return Var(x.data.T, parents=(x,), vjp=lambda g: ((x, g.T),))
 
 
 # -- reductions -----------------------------------------------------------
 
-def vsum(x: Var, axis=None, keepdims: bool = False) -> Var:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            gx = np.broadcast_to(g, x.data.shape).copy()
-        else:
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(g2, x.data.shape).copy()
-        return ((x, gx),)
-
-    return Var(out_data, parents=(x,), vjp=vjp)
-
-
-def vmean(x: Var) -> Var:
-    return vsum(x) * (1.0 / x.data.size)
-
-
-def logsumexp_rows(x: Var) -> Var:
-    """Row-wise log-sum-exp of a 2-D tensor, stabilized by a detached max."""
-    shift = x.data.max(axis=1, keepdims=True)
-    z = exp(x - constant(shift))
-    return log(vsum(z, axis=1)) + constant(shift[:, 0])
+def vsum(x: Var) -> Var:
+    return Var(x.data.sum(), parents=(x,),
+               vjp=lambda g: ((x, np.broadcast_to(g, x.data.shape).copy()),))
 
 
 def dropout(x: Var, rate: float, rng: np.random.Generator) -> Var:

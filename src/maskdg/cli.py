@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .enrich import EnrichConfig, Enricher
+from .enrich import EnrichConfig, enrich
 from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
                     load_dataset, load_graph, save_graph, write_atomic)
 from .masknet import dump_mask_csv, mask_forward
@@ -239,8 +239,7 @@ def cmd_enrich(args) -> int:
     ctx = RunContext(args.out, "enrich",
                      {"enrich": dataclasses.asdict(cfg), "graph": args.graph},
                      args.seed)
-    rng = np.random.default_rng(args.seed)
-    enriched = Enricher(g, cfg, rng).sample(rng)
+    enriched = enrich(g, cfg, np.random.default_rng(args.seed))
     out_graph = Graph(g.features, enriched.enriched_edges, g.labels,
                       g.num_classes, g.domain_id)
     path = ctx.out / "enriched.graph"

@@ -4,6 +4,7 @@ Every non-self-loop edge (u, v) gets a score in (0, 1): both endpoint
 features are projected and ReLU'd, concatenated in edge order, and pushed
 through a two-layer MLP with a sigmoid head. Self-loops are never scored;
 they ride along with a fixed value of 1 so a node can always hear itself.
+The whole scorer is one tape op with a hand-written VJP.
 """
 
 from __future__ import annotations
@@ -81,13 +82,46 @@ def init_masknet(d: int, d_prime: int = 128, hidden: int = 64,
     )
 
 
-def _score_edges(pv: MaskNetParams, x: ad.Var, src: np.ndarray,
-                 dst: np.ndarray) -> ad.Var:
-    z = ad.relu(x @ ad.transpose(pv.proj_w) + pv.proj_b)
-    pair = ad.concat([ad.gather_rows(z, src), ad.gather_rows(z, dst)], axis=1)
-    h = ad.relu(pair @ ad.transpose(pv.mlp_w1) + pv.mlp_b1)
-    logit = h @ ad.transpose(pv.mlp_w2) + pv.mlp_b2
-    return ad.sigmoid(ad.reshape(logit, (-1,)))
+def _score_edges(pv: MaskNetParams, X: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, scorable: np.ndarray) -> ad.Var:
+    """The whole scorer as one tape op with a hand-written VJP: the scores of
+    edges (src, dst) at the `scorable` entries of a full-length mask, 1 at
+    the others."""
+    params = [v for _, v in pv.named()]
+    W0, b0, W1, b1, W2, b2 = (v.data for v in params)
+    X = np.asarray(X, dtype=np.float64)
+    # Allocated before the (E, .) temporaries, so that they are freed from
+    # the top of the heap; allocated after them, it raised peak RSS.
+    values = np.ones(scorable.shape[0])
+    pre0 = X @ W0.T + b0
+    z = pre0 * (pre0 > 0)
+    pair = np.concatenate([z[src], z[dst]], axis=1)
+    pre1 = pair @ W1.T + b1
+    h = pre1 * (pre1 > 0)
+    logit = (h @ W2.T + b2).reshape(-1)
+    t = np.exp(-np.abs(logit))                       # stable in both tails
+    s = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    values[scorable] = s
+    if not any(v.requires_grad for v in params):
+        return ad.Var(values)
+
+    def vjp(g):
+        # Trained checkpoints depend bit for bit on this arithmetic order:
+        # weight grads as (a.T @ g).T, sigmoid as g * s * (1 - s), and the
+        # two endpoint halves scattered separately, then added.
+        g_logit = (g[scorable] * s * (1.0 - s)).reshape(-1, 1)
+        g_pre1 = (g_logit @ W2) * (pre1 > 0)
+        g_pair = g_pre1 @ W1
+        half = z.shape[1]
+        g_z = (ad.sum_rows(g_pair[:, :half], src, z.shape[0])
+               + ad.sum_rows(g_pair[:, half:], dst, z.shape[0]))
+        g_pre0 = g_z * (pre0 > 0)
+        grads = [(X.T @ g_pre0).T, g_pre0.sum(axis=0),
+                 (pair.T @ g_pre1).T, g_pre1.sum(axis=0),
+                 (h.T @ g_logit).T, g_logit.sum(axis=0)]
+        return tuple(zip(params, grads))
+
+    return ad.Var(values, parents=tuple(params), vjp=vjp)
 
 
 def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
@@ -106,14 +140,7 @@ def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
     if k and not scorable[:k].all():
         raise ValueError("self-loops must form a contiguous tail")
     pv = ad.param_vars(p, track)
-    x = ad.constant(X)
-    scores = _score_edges(pv, x, src[:k], dst[:k])
-    if k < edges.shape[0]:
-        ones = ad.constant(np.ones(edges.shape[0] - k))
-        full = ad.concat([scores, ones], axis=0)
-    else:
-        full = scores
-    return full, scorable, pv
+    return _score_edges(pv, X, src[:k], dst[:k], scorable), scorable, pv
 
 
 def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask:
@@ -123,11 +150,8 @@ def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask
     if edges.size and max(src.max(), dst.max()) >= X.shape[0]:
         raise ValueError("edge endpoint outside feature matrix")
     scorable = src != dst
-    values = np.ones(edges.shape[0])
-    if scorable.any():
-        pv = ad.param_vars(p, track=False)
-        scores = _score_edges(pv, ad.constant(X), src[scorable], dst[scorable])
-        values[scorable] = scores.data
+    values = _score_edges(ad.param_vars(p, track=False), X, src[scorable],
+                          dst[scorable], scorable).data
     return EdgeMask(values=values, scorable=scorable)
 
 

@@ -305,21 +305,9 @@ def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     return out.data
 
 
-def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
-    """Mean negative log-likelihood over labeled nodes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    keep = np.flatnonzero(labels != UNLABELED)
-    if keep.size == 0:
-        raise ValueError("cross entropy undefined: no labeled nodes")
-    sub = ad.gather_rows(logits, keep)
-    lse = ad.logsumexp_rows(sub)
-    picked = ad.take_per_row(sub, labels[keep])
-    return ad.vmean(lse - picked)
-
-
-def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _nll(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood over labeled nodes of (..., N, C) logits,
-    one value per leading batch index."""
+    one value per leading batch index, and the indices of the labeled rows."""
     labels = np.asarray(labels, dtype=np.int64)
     keep = np.flatnonzero(labels != UNLABELED)
     if keep.size == 0:
@@ -327,11 +315,31 @@ def _mean_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     sub = np.asarray(logits, dtype=np.float64)[..., keep, :]
     mx = sub.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(sub - mx).sum(axis=-1)) + mx[..., 0]
-    return (lse - sub[..., np.arange(keep.size), labels[keep]]).mean(axis=-1)
+    nll = lse - sub[..., np.arange(keep.size), labels[keep]]
+    return nll.sum(axis=-1) * (1.0 / keep.size), keep
+
+
+def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
+    """Mean negative log-likelihood over labeled nodes as one tape op."""
+    loss, keep = _nll(logits.data, labels)
+
+    def vjp(g):
+        # The forward's shifted exponentials, recomputed rather than kept on
+        # the tape: (g/n / rowsum) * exp, minus g/n at each label.
+        sub = logits.data[keep]
+        ex = np.exp(sub - sub.max(axis=1, keepdims=True))
+        g_mean = g * (1.0 / keep.size)
+        onehot = np.zeros_like(ex)
+        onehot[np.arange(keep.size), np.asarray(labels)[keep]] = -g_mean
+        g_logits = np.zeros(logits.data.shape)
+        g_logits[keep] = (g_mean / ex.sum(axis=1))[:, None] * ex + onehot
+        return ((logits, g_logits),)
+
+    return ad.Var(loss, parents=(logits,), vjp=vjp)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(_mean_nll(logits, labels))
+    return float(_nll(logits, labels)[0])
 
 
 # Byte budget of the widest per-chunk edge tensor in loss_over_masks: large
@@ -350,6 +358,6 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     width = len(p.layers[0]) * p.out_w.shape[1]
     rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))
     return np.concatenate([
-        _mean_nll(_forward(pv, X, seg, ad.constant(masks[i:i + rows]), cfg,
-                           None).data, labels)
+        _nll(_forward(pv, X, seg, ad.constant(masks[i:i + rows]), cfg,
+                      None).data, labels)[0]
         for i in range(0, masks.shape[0], rows)])

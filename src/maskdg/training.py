@@ -195,10 +195,8 @@ def evaluate(model: TrainedModel, graph: Graph,
     if not cfg.mask_enabled:
         mode = "all-ones"      # the scorer was never trained
     edges = inference_graph(cfg, graph).enriched_edges
-    if mode == "masknet":
-        mask_values = mask_forward(model.mask, graph.features, edges).values
-    else:
-        mask_values = np.ones(edges.shape[0])
+    mask_values = _mask_or_ones(model.mask, graph.features, edges,
+                                mode == "masknet")
     logits = tasknet_forward(model.task, graph.features, edges, mask_values,
                              cfg.tasknet)
     preds = logits.argmax(axis=1)
@@ -364,10 +362,7 @@ def ablate_2x2(dataset: DomainDataset, cfg: TrainConfig) -> List[dict]:
 # -- config and checkpoint serialization -----------------------------------
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["enrich"] = dataclasses.asdict(cfg.enrich)
-    out["tasknet"] = dataclasses.asdict(cfg.tasknet)
-    return out
+    return dataclasses.asdict(cfg)
 
 
 def config_from_dict(data: dict) -> TrainConfig:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from maskdg.graph import EdgeOrigin, make_edges
-from maskdg.masknet import EdgeMask, MaskNetParams, init_masknet, mask_forward
+from maskdg.masknet import (EdgeMask, MaskNetParams, init_masknet,
+                            mask_forward, mask_forward_var)
 
 
 def edges_with_loops(pairs, n):
@@ -105,3 +106,48 @@ def test_mean_scorable_ignores_self_loops():
     mask = EdgeMask(values=values, scorable=np.array([True, True, False, False]))
     assert mask.mean_scorable() == pytest.approx(0.3)
     assert mask.num_scorable == 2
+
+
+def hub_instance():
+    # Node 0 is the source of three edges and the destination of two, so the
+    # scorer's VJP scatters several rows into the same node from both
+    # endpoint halves. Self-loops form the tail.
+    p = init_masknet(3, 4, 5, np.random.default_rng(11))
+    X = np.random.default_rng(12).normal(size=(5, 3))
+    edges = edges_with_loops([(0, 1), (0, 2), (3, 0), (0, 4), (2, 0), (1, 3)],
+                             5)
+    return p, X, edges
+
+
+def test_scorer_jacobian_rows_match_central_differences():
+    p, X, edges = hub_instance()
+    mask_var, scorable, pv = mask_forward_var(p, X, edges, track=True)
+    h = 1e-6
+    for e in np.flatnonzero(scorable):
+        seed = np.zeros(edges.shape[0])
+        seed[e] = 1.0
+        mask_var.backward(seed)
+        for name, arr in p.named():
+            num = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + h
+                up = mask_forward(p, X, edges).values[e]
+                arr[idx] = orig - h
+                down = mask_forward(p, X, edges).values[e]
+                arr[idx] = orig
+                num[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(pv[name].grad, num, rtol=1e-6,
+                                       atol=1e-9, err_msg=f"{name} row {e}")
+    assert mask_var.data.tobytes() == mask_forward(p, X, edges).values.tobytes()
+
+
+def test_self_loop_seed_gives_zero_scorer_gradient():
+    p, X, edges = hub_instance()
+    mask_var, scorable, pv = mask_forward_var(p, X, edges, track=True)
+    np.testing.assert_array_equal(mask_var.data[~scorable], 1.0)
+    seed = np.zeros(edges.shape[0])
+    seed[np.flatnonzero(~scorable)[2]] = 1.0
+    mask_var.backward(seed)
+    for name, _ in p.named():
+        np.testing.assert_array_equal(pv[name].grad, 0.0, err_msg=name)

@@ -12,6 +12,7 @@ from maskdg.tasknet import (
     TaskNetConfig,
     TaskNetParams,
     cross_entropy,
+    cross_entropy_var,
     edge_softmax,
     gat_layer,
     init_tasknet,
@@ -264,6 +265,24 @@ def test_unlabeled_nodes_are_skipped():
 def test_no_labels_is_an_error():
     with pytest.raises(ValueError, match="no labeled"):
         cross_entropy(np.zeros((2, 2)), np.array([-1, -1]))
+
+
+def test_cross_entropy_var_grad_is_softmax_minus_onehot_on_labeled_rows():
+    logits = np.random.default_rng(21).normal(size=(7, 4)) * 3
+    labels = np.array([2, -1, 0, 3, -1, 1, 2])
+    v = ad.param(logits.copy())
+    loss = cross_entropy_var(v, labels)
+    assert loss.data.tobytes() == np.float64(
+        cross_entropy(logits, labels)).tobytes()
+    loss.backward()
+    labeled = labels != -1
+    np.testing.assert_array_equal(v.grad[~labeled], 0.0)
+    soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft /= soft.sum(axis=1, keepdims=True)
+    onehot = np.eye(4)[labels[labeled]]
+    np.testing.assert_allclose(v.grad[labeled],
+                               (soft[labeled] - onehot) / labeled.sum(),
+                               rtol=0, atol=1e-12)
 
 
 # -- batched mask evaluation -------------------------------------------------
