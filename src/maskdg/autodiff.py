@@ -9,9 +9,9 @@ node that requires it.
 The networks' layers are each one op with a hand-written vector-Jacobian
 product, built on `Var` in their own modules: the scorer in `masknet`, each
 attention layer and the cross-entropy in `tasknet`. What remains here is the
-arithmetic that glues them together (sums, products, 2-D matmul, a slice,
-dropout) and the segment helpers `stable_order` and `sum_rows` that their
-VJPs share.
+arithmetic that glues them together (sums, products, 2-D matmul,
+transpose, dropout), the parameter containers, and the segment helpers
+`stable_order` and `sum_rows` that their VJPs share.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Var(-self.data, parents=(self,), vjp=lambda g: ((self, -g),))
-
-    def __sub__(self, other):
-        return self + (-as_var(other))
-
     def __mul__(self, other):
         other = as_var(other)
         out_data = self.data * other.data
@@ -154,6 +148,8 @@ class Params:
     function applied to every leaf in `map(fn)`, so one container type holds
     either the arrays or their tape Vars."""
 
+    flat = None     # the buffer behind every array of a `packed` container
+
     def __getitem__(self, name: str):
         return dict(self.named())[name]
 
@@ -169,6 +165,18 @@ class Params:
 def param_vars(p: Params, track: bool) -> Params:
     """`p` with every array wrapped as a tracked leaf or as a constant."""
     return p.map(param if track else constant)
+
+
+def packed(p: Params) -> Params:
+    """A copy of `p` whose arrays are views into one contiguous buffer,
+    `.flat`, in named() order, so an optimiser moves them all at once."""
+    arrays = [arr for _, arr in p.named()]
+    flat = np.concatenate([arr.ravel() for arr in arrays])
+    parts = np.split(flat, np.cumsum([arr.size for arr in arrays])[:-1])
+    views = {id(a): part.reshape(a.shape) for a, part in zip(arrays, parts)}
+    out = p.map(lambda arr: views[id(arr)])
+    out.flat = flat
+    return out
 
 
 # -- indexing -------------------------------------------------------------
@@ -193,26 +201,8 @@ def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     return out
 
 
-def slice1d(x: Var, start: int, stop: int) -> Var:
-    out_data = x.data[start:stop]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return ((x, gx),)
-
-    return Var(out_data, parents=(x,), vjp=vjp)
-
-
 def transpose(x: Var) -> Var:
     return Var(x.data.T, parents=(x,), vjp=lambda g: ((x, g.T),))
-
-
-# -- reductions -----------------------------------------------------------
-
-def vsum(x: Var) -> Var:
-    return Var(x.data.sum(), parents=(x,),
-               vjp=lambda g: ((x, np.broadcast_to(g, x.data.shape).copy()),))
 
 
 def dropout(x: Var, rate: float, rng: np.random.Generator) -> Var:

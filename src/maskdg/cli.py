@@ -47,9 +47,6 @@ class ConfigError(Exception):
 
 # -- config plumbing --------------------------------------------------------
 
-_SCALAR_TYPES = (int, float, str, bool)
-
-
 def _flag_name(*parts) -> str:
     return "--" + "-".join(p.replace("_", "-") for p in parts)
 
@@ -115,9 +112,12 @@ def resolve_train_config(args) -> TrainConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            data.update(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        data.update(loaded)
     _config_overrides(args, data)
     try:
         return config_from_dict(data)

@@ -31,20 +31,16 @@ class GradientBundle:
     mask_grad: Optional[np.ndarray] = None   # d(loss)/d(s), zero on self-loops
 
 
-def scorable_mean_var(mask_var: ad.Var, num_scorable: int) -> ad.Var:
-    """Mean of the scored segment; self-loop tail contributes nothing."""
-    return ad.vsum(ad.slice1d(mask_var, 0, num_scorable)) * (1.0 / num_scorable)
-
-
 def grad_tasknet(task: tasknet.TaskNetParams, X: np.ndarray, edges: np.ndarray,
                  mask_values: np.ndarray, labels: np.ndarray,
                  cfg: tasknet.TaskNetConfig,
-                 dropout_rng: Optional[np.random.Generator] = None) -> GradientBundle:
+                 dropout_rng: Optional[np.random.Generator] = None,
+                 seg: Optional[tasknet.EdgeSegments] = None) -> GradientBundle:
     """Exact reverse-accumulation gradient of the classification loss w.r.t.
     the classifier; the mask enters as a constant edge attribute."""
     pv = ad.param_vars(task, track=True)
     logits = tasknet.tasknet_forward_var(pv, X, edges, ad.constant(mask_values),
-                                         cfg, dropout_rng)
+                                         cfg, dropout_rng, seg)
     loss = tasknet.cross_entropy_var(logits, labels)
     loss.backward()
     return GradientBundle(grads=pv.grads(), loss=float(loss.data),
@@ -54,31 +50,33 @@ def grad_tasknet(task: tasknet.TaskNetParams, X: np.ndarray, edges: np.ndarray,
 def grad_masknet(task: tasknet.TaskNetParams, maskp: masknet.MaskNetParams,
                  X: np.ndarray, edges: np.ndarray, labels: np.ndarray,
                  lam: float, cfg: tasknet.TaskNetConfig,
-                 dropout_rng: Optional[np.random.Generator] = None) -> GradientBundle:
+                 dropout_rng: Optional[np.random.Generator] = None,
+                 seg: Optional[tasknet.EdgeSegments] = None) -> GradientBundle:
     """Gradient of -loss + lam * mean(s) w.r.t. the scorer only.
 
-    Runs one shared forward, then two backward sweeps over the same tape:
-    one from the raw loss (to read off d(loss)/d(s)) and one from the full
-    adversarial objective (for the parameter gradients).
+    The frozen classifier reads a leaf copy of the mask, so one backward
+    sweep from the loss gives d(loss)/d(s); the scorer's VJP then runs once,
+    seeded with d(objective)/d(s) = -d(loss)/d(s) + lam/m on the m scored
+    entries (self-loops are never scored).
     """
     mask_var, scorable, mpv = masknet.mask_forward_var(maskp, X, edges, track=True)
     m = int(scorable.sum())
     if m == 0:
         raise ValueError("no scorable edges: adversary has nothing to mask")
-    tpv = ad.param_vars(task, track=False)
-    logits = tasknet.tasknet_forward_var(tpv, X, edges, mask_var, cfg, dropout_rng)
+    mask_leaf = ad.param(mask_var.data)
+    logits = tasknet.tasknet_forward_var(ad.param_vars(task, track=False), X,
+                                         edges, mask_leaf, cfg, dropout_rng,
+                                         seg)
     loss = tasknet.cross_entropy_var(logits, labels)
-    objective = -loss + lam * scorable_mean_var(mask_var, m)
-
     loss.backward()
-    mask_grad = np.zeros(mask_var.data.shape)
-    if mask_var.grad is not None:
-        mask_grad[scorable] = mask_var.grad[scorable]
+    mask_grad = np.where(scorable, mask_leaf.grad, 0.0)
 
-    objective.backward()
+    seed = -mask_leaf.grad
+    seed[scorable] += lam * (1.0 / m)
+    mask_var.backward(seed)
+    objective = -loss.data + mask_var.data[scorable].sum() * (1.0 / m) * lam
     return GradientBundle(grads=mpv.grads(), loss=float(loss.data),
-                          objective=float(objective.data),
-                          mask_grad=mask_grad)
+                          objective=float(objective), mask_grad=mask_grad)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -136,11 +136,7 @@ class EdgeOriginStats:
     avg_degree_delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "edge_increase_pct": self.edge_increase_pct,
-            "avg_degree_delta": self.avg_degree_delta,
-        }
+        return asdict(self)
 
 
 def coalesce(edges: np.ndarray) -> np.ndarray:

@@ -82,11 +82,16 @@ def init_masknet(d: int, d_prime: int = 128, hidden: int = 64,
     )
 
 
-def _score_edges(pv: MaskNetParams, X: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, scorable: np.ndarray) -> ad.Var:
-    """The whole scorer as one tape op with a hand-written VJP: the scores of
-    edges (src, dst) at the `scorable` entries of a full-length mask, 1 at
-    the others."""
+def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
+    """The whole scorer as one tape op with a hand-written VJP: a full-length
+    mask holding the score of each non-self-loop edge and 1 at each
+    self-loop, and the boolean vector of the scored entries."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    src, dst = edges[:, 0], edges[:, 1]
+    if edges.size and max(src.max(), dst.max()) >= X.shape[0]:
+        raise ValueError("edge endpoint outside feature matrix")
+    scorable = src != dst
+    src, dst = src[scorable], dst[scorable]
     params = [v for _, v in pv.named()]
     W0, b0, W1, b1, W2, b2 = (v.data for v in params)
     X = np.asarray(X, dtype=np.float64)
@@ -103,7 +108,7 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, src: np.ndarray,
     s = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     values[scorable] = s
     if not any(v.requires_grad for v in params):
-        return ad.Var(values)
+        return ad.Var(values), scorable
 
     def vjp(g):
         # Trained checkpoints depend bit for bit on this arithmetic order:
@@ -121,7 +126,7 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, src: np.ndarray,
                  (h.T @ g_logit).T, g_logit.sum(axis=0)]
         return tuple(zip(params, grads))
 
-    return ad.Var(values, parents=tuple(params), vjp=vjp)
+    return ad.Var(values, parents=tuple(params), vjp=vjp), scorable
 
 
 def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
@@ -129,30 +134,17 @@ def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
     """Tape version of the scorer for gradient computation.
 
     Returns (mask_var, scorable, pv): mask_var is the full-length mask with
-    constant ones at self-loop positions, pv the MaskNetParams of parameter
-    Vars. Requires self-loops to sit in a contiguous tail, which is how
-    enriched edge lists are built.
+    constant ones at self-loop positions, wherever they sit, and pv the
+    MaskNetParams of parameter Vars.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    src, dst = edges[:, 0], edges[:, 1]
-    scorable = src != dst
-    k = int(scorable.sum())
-    if k and not scorable[:k].all():
-        raise ValueError("self-loops must form a contiguous tail")
     pv = ad.param_vars(p, track)
-    return _score_edges(pv, X, src[:k], dst[:k], scorable), scorable, pv
+    return (*_score_edges(pv, X, edges), pv)
 
 
 def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask:
     """Score every non-self-loop edge; self-loop entries are fixed at 1."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    src, dst = edges[:, 0], edges[:, 1]
-    if edges.size and max(src.max(), dst.max()) >= X.shape[0]:
-        raise ValueError("edge endpoint outside feature matrix")
-    scorable = src != dst
-    values = _score_edges(ad.param_vars(p, track=False), X, src[scorable],
-                          dst[scorable], scorable).data
-    return EdgeMask(values=values, scorable=scorable)
+    mask, scorable = _score_edges(ad.param_vars(p, track=False), X, edges)
+    return EdgeMask(values=mask.data, scorable=scorable)
 
 
 def dump_mask_csv(path, edges: np.ndarray, mask: EdgeMask) -> None:

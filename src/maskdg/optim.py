@@ -3,39 +3,44 @@ the gradient (classic, not decoupled)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
+
+from . import autodiff as ad
 
 
 @dataclass
 class AdamState:
-    m: Dict[str, np.ndarray] = field(default_factory=dict)
-    v: Dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None    # moments, flat in named() order
+    v: Optional[np.ndarray] = None
     step: int = 0
 
 
-def adam_step(state: AdamState, named_params, grads: Dict[str, np.ndarray],
-              lr: float, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One in-place Adam update over (name, array) parameter pairs."""
+def adam_step(state: AdamState, params: ad.Params,
+              grads: Dict[str, np.ndarray], lr: float,
+              weight_decay: float = 0.0, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One in-place Adam update of `params` (built by `ad.packed`): the
+    grads are gathered in named() order and `params.flat` moves at once,
+    each entry by the bits a per-tensor update would give it."""
+    named, w = params.named(), params.flat
+    if w is None or any(arr.base is not w for _, arr in named):
+        raise ValueError("adam_step needs parameters packed by ad.packed")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(w), np.zeros_like(w)
+    elif state.m.shape != w.shape:
+        raise ValueError(f"{state.m.size} moments for {w.size} parameters")
     state.step += 1
-    t = state.step
-    for name, arr in named_params:
-        g = grads[name]
-        if weight_decay:
-            g = g + weight_decay * arr
-        if name not in state.m:
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = np.concatenate([grads[name].ravel() for name, _ in named])
+    if weight_decay:
+        g += weight_decay * w
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    denom = np.sqrt(v / (1 - beta2 ** state.step))
+    denom += eps
+    w -= lr * (m / (1 - beta1 ** state.step)) / denom

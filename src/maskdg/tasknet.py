@@ -287,13 +287,15 @@ def _forward(pv: TaskNetParams, X: np.ndarray, seg: EdgeSegments,
 
 def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                         mask: ad.Var, cfg: TaskNetConfig,
-                        dropout_rng: Optional[np.random.Generator] = None) -> ad.Var:
+                        dropout_rng: Optional[np.random.Generator] = None,
+                        seg: Optional[EdgeSegments] = None) -> ad.Var:
     """Tape forward pass producing (N, C) logits.
 
     `pv` comes from ad.param_vars(); `mask` is a full-length Var aligned to
-    `edges`. Passing dropout_rng=None means evaluation mode.
+    `edges`. Passing dropout_rng=None means evaluation mode. `seg` is
+    `EdgeSegments(edges, N)` when a caller has built it already.
     """
-    return _forward(pv, X, EdgeSegments(edges, X.shape[0]), mask, cfg,
+    return _forward(pv, X, seg or EdgeSegments(edges, X.shape[0]), mask, cfg,
                     dropout_rng)
 
 

@@ -256,16 +256,17 @@ def masknet_gradient_identity(task: TaskNetParams, maskp: MaskNetParams,
     direct = grad_masknet(task, maskp, X, edges, labels, lam, cfg)
 
     mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
-    m = int(scorable.sum())
-    jac = {name: np.zeros((m,) + arr.shape) for name, arr in maskp.named()}
-    for e in range(m):
+    scored = np.flatnonzero(scorable)
+    jac = {name: np.zeros((scored.size,) + arr.shape)
+           for name, arr in maskp.named()}
+    for row, e in enumerate(scored):
         seed = np.zeros(mask_var.data.shape)
         seed[e] = 1.0
         mask_var.backward(seed)
         for name, v in mpv.named():
             if v.grad is not None:
-                jac[name][e] = v.grad
-    coeff = -direct.mask_grad[:m] + lam / m
+                jac[name][row] = v.grad
+    coeff = -direct.mask_grad[scored] + lam / scored.size
     worst = 0.0
     for name, _ in maskp.named():
         assembled = np.tensordot(coeff, jac[name], axes=1)

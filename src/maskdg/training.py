@@ -18,13 +18,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .autodiff import packed
 from .enrich import EnrichConfig, EnrichedGraph, Enricher
 from .gradients import grad_masknet, grad_tasknet
 from .graph import UNLABELED, DomainDataset, EdgeOrigin, Graph, write_atomic
 from .masknet import EdgeMask, MaskNetParams, init_masknet, mask_forward
 from .optim import AdamState, adam_step
-from .tasknet import (TaskNetConfig, TaskNetParams, init_tasknet,
-                      tasknet_forward)
+from .tasknet import (EdgeSegments, TaskNetConfig, TaskNetParams,
+                      init_tasknet, tasknet_forward)
 
 
 @dataclass
@@ -50,8 +51,10 @@ class TrainConfig:
     inference_mask_mode: str = "all-ones"   # or "masknet"
 
     def __post_init__(self):
-        if self.epochs < 0 or self.n_descent < 1 or self.n_ascent < 1:
-            raise ValueError("epochs >= 0, n_descent >= 1, n_ascent >= 1")
+        if (self.epochs < 0 or self.n_descent < 1 or self.n_ascent < 1
+                or self.seed < 0):
+            raise ValueError("epochs >= 0, n_descent >= 1, n_ascent >= 1, "
+                             "seed >= 0")
         if self.sparsity < 0:
             raise ValueError("sparsity must be >= 0")
         if self.mask_d_prime < 1 or self.mask_hidden < 1:
@@ -206,13 +209,15 @@ def evaluate(model: TrainedModel, graph: Graph,
 def tasknet_descent_step(task: TaskNetParams, s: np.ndarray,
                          X: np.ndarray, edges: np.ndarray, labels: np.ndarray,
                          cfg: TrainConfig, state: AdamState,
-                         dropout_rng: Optional[np.random.Generator] = None) -> float:
+                         dropout_rng: Optional[np.random.Generator] = None,
+                         seg: Optional[EdgeSegments] = None) -> float:
     """One Adam update of the classifier against the mask values `s`, held
     constant. Returns the loss."""
-    bundle = grad_tasknet(task, X, edges, s, labels, cfg.tasknet, dropout_rng)
+    bundle = grad_tasknet(task, X, edges, s, labels, cfg.tasknet, dropout_rng,
+                          seg)
     if not np.isfinite(bundle.loss):
         raise FloatingPointError(f"loss={bundle.loss!r}")
-    adam_step(state, task.named(), bundle.grads, cfg.lr_task,
+    adam_step(state, task, bundle.grads, cfg.lr_task,
               cfg.weight_decay_task, cfg.adam_beta1, cfg.adam_beta2,
               cfg.adam_eps)
     return bundle.loss
@@ -221,14 +226,15 @@ def tasknet_descent_step(task: TaskNetParams, s: np.ndarray,
 def masknet_ascent_step(task: TaskNetParams, maskp: MaskNetParams,
                         X: np.ndarray, edges: np.ndarray, labels: np.ndarray,
                         lam: float, cfg: TrainConfig, state: AdamState,
-                        dropout_rng: Optional[np.random.Generator] = None) -> float:
+                        dropout_rng: Optional[np.random.Generator] = None,
+                        seg: Optional[EdgeSegments] = None) -> float:
     """One Adam update of the scorer against the frozen classifier,
     minimizing -loss + lam * mean(s). Returns the objective value."""
     bundle = grad_masknet(task, maskp, X, edges, labels, lam, cfg.tasknet,
-                          dropout_rng)
+                          dropout_rng, seg)
     if not np.isfinite(bundle.objective):
         raise FloatingPointError(f"objective={bundle.objective!r}")
-    adam_step(state, maskp.named(), bundle.grads, cfg.lr_mask, 0.0,
+    adam_step(state, maskp, bundle.grads, cfg.lr_mask, 0.0,
               cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     return bundle.objective
 
@@ -236,47 +242,44 @@ def masknet_ascent_step(task: TaskNetParams, maskp: MaskNetParams,
 def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
     """Run the alternating optimization over all source domains."""
     sources = dataset.source_graphs
-    d = sources[0].num_features
-    c = sources[0].num_classes
+    d, c = sources[0].num_features, sources[0].num_classes
 
     ss = np.random.SeedSequence(cfg.seed)
     s_task, s_mask, s_enrich, s_loop = ss.spawn(4)
-    task = init_tasknet(d, c, cfg.tasknet, np.random.default_rng(s_task))
-    maskp = init_masknet(d, cfg.mask_d_prime, cfg.mask_hidden,
-                         np.random.default_rng(s_mask))
+    # packed: each Adam step moves one network's buffer at once
+    task = packed(init_tasknet(d, c, cfg.tasknet,
+                               np.random.default_rng(s_task)))
+    maskp = packed(init_masknet(d, cfg.mask_d_prime, cfg.mask_hidden,
+                                np.random.default_rng(s_mask)))
     enrichers = [Enricher(g, cfg.enrich, np.random.default_rng(child))
                  for g, child in zip(sources, s_enrich.spawn(len(sources)))]
     loop_rng = np.random.default_rng(s_loop)
 
-    task_state = AdamState()
-    mask_state = AdamState()
+    task_state, mask_state = AdamState(), AdamState()
     lam = cfg.sparsity
     history: List[EpochRecord] = []
 
     use_dropout = (cfg.tasknet.attn_dropout > 0 or cfg.tasknet.layer_dropout > 0)
     for epoch in range(cfg.epochs):
         losses, objectives, means = [], [], []
-        descent_count = ascent_count = 0
         for dom_idx, g in enumerate(sources):
-            enriched = enrichers[dom_idx].sample(loop_rng)
-            edges = enriched.enriched_edges
+            edges = enrichers[dom_idx].sample(loop_rng).enriched_edges
             X, labels = g.features, g.labels
             drng = loop_rng if use_dropout else None
             try:
-                # the scorer and the edges are fixed across the descent steps
+                # fixed: the edges across all steps, the scorer across descent
+                seg = EdgeSegments(edges, X.shape[0])
                 s = _mask_or_ones(maskp, X, edges, cfg.mask_enabled)
                 for _ in range(cfg.n_descent):
                     losses.append(tasknet_descent_step(
-                        task, s, X, edges, labels, cfg, task_state, drng))
-                    descent_count += 1
+                        task, s, X, edges, labels, cfg, task_state, drng,
+                        seg))
                 if cfg.mask_enabled:
                     for _ in range(cfg.n_ascent):
                         objectives.append(masknet_ascent_step(
                             task, maskp, X, edges, labels, lam, cfg,
-                            mask_state, drng))
-                        ascent_count += 1
-                    final_mask = mask_forward(maskp, X, edges)
-                    means.append(final_mask.mean_scorable())
+                            mask_state, drng, seg))
+                    means.append(mask_forward(maskp, X, edges).mean_scorable())
                     if cfg.dual_rho is not None:
                         lam = dual_ascent_lambda(lam, means[-1], cfg.dual_rho,
                                                  cfg.dual_step)
@@ -290,8 +293,8 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
             mask_objective=float(np.mean(objectives)) if objectives else None,
             mean_mask=float(np.mean(means)) if means else None,
             lam=lam,
-            descent_steps=descent_count,
-            ascent_steps=ascent_count,
+            descent_steps=len(losses),
+            ascent_steps=len(objectives),
         ))
 
     model = TrainedModel(task=task, mask=maskp, cfg=cfg, final_lambda=lam)
@@ -365,15 +368,27 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _typed(cls, data: dict):
+    """cls(**data) once each value fits its field's default: an int field
+    takes an int, a float field an int or a float, only a bool field a bool."""
+    for f in dataclasses.fields(cls):
+        want, value = type(f.default), data.get(f.name, f.default)
+        if want in (bool, int, float) and not (
+                isinstance(value, (int, float) if want is float else want)
+                and isinstance(value, bool) == (want is bool)):
+            raise ValueError(f"{f.name} must be {want.__name__}, got "
+                             f"{value!r}")
+    return cls(**data)
+
+
 def config_from_dict(data: dict) -> TrainConfig:
     data = dict(data)
-    enrich = EnrichConfig(**data.pop("enrich", {}))
-    tasknet = TaskNetConfig(**data.pop("tasknet", {}))
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(data) - known
+    for name, cls in (("enrich", EnrichConfig), ("tasknet", TaskNetConfig)):
+        data[name] = _typed(cls, dict(data.get(name, {})))
+    unknown = set(data) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return TrainConfig(enrich=enrich, tasknet=tasknet, **data)
+    return _typed(TrainConfig, data)
 
 
 CHECKPOINT_VERSION = 1

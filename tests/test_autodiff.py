@@ -18,11 +18,11 @@ def numeric_grad(f, x, h=1e-6):
 
 
 def check_op(build, x, rtol=1e-6, atol=1e-8):
-    """Compare tape gradient of sum(build(Var(x))) against central differences."""
+    """Compare tape gradient of sum(build(Var(x))) against central differences;
+    backward's default all-ones seed is the adjoint of that sum."""
     v = ad.param(x.copy())
-    out = ad.vsum(build(v))
-    out.backward()
-    num = numeric_grad(lambda arr: ad.vsum(build(ad.constant(arr))).data, x)
+    build(v).backward()
+    num = numeric_grad(lambda arr: build(ad.constant(arr)).data.sum(), x)
     np.testing.assert_allclose(v.grad, num, rtol=rtol, atol=atol)
 
 
@@ -32,21 +32,18 @@ C42 = rng.normal(size=(4, 2))
 
 
 # The generic arithmetic that glues the layer ops together: elementwise,
-# broadcast and scalar operands, transpose, matmul, sums and dropout.
+# broadcast and scalar operands, transpose, matmul and dropout.
 @pytest.mark.parametrize("build", [
     lambda v: v + ad.constant(C43),
     lambda v: v * ad.constant(C43),
     lambda v: v * v,
-    lambda v: -v,
-    lambda v: v - ad.constant(C43),
     lambda v: ad.constant(np.ones((2, 4, 3))) * v,
     lambda v: (v @ ad.constant(C43[:1].T)) * ad.constant(C43),
     lambda v: 2.0 * v,
     lambda v: 1.5 + v * v,
-    lambda v: v - 1.0,
     lambda v: ad.transpose(v) @ ad.constant(C42),
     lambda v: ad.constant(C42.T) @ v,
-    lambda v: ad.vsum(v) * v,
+    lambda v: (ad.constant(np.ones((1, 4))) @ v) * v,
     lambda v: ad.dropout(v, 0.5, np.random.default_rng(1)),
 ])
 def test_elementwise_ops_match_finite_differences(build):
@@ -58,8 +55,7 @@ def test_matmul_grad_both_sides():
     a = ad.param(rng.normal(size=(3, 4)))
     b = ad.param(rng.normal(size=(4, 2)))
     C = rng.normal(size=(3, 2))
-    out = ad.vsum((a @ b) * ad.constant(C))
-    out.backward()
+    ((a @ b) * ad.constant(C)).backward()
     num_a = numeric_grad(lambda arr: float(np.sum((arr @ b.data) * C)), a.data)
     num_b = numeric_grad(lambda arr: float(np.sum((a.data @ arr) * C)), b.data)
     np.testing.assert_allclose(a.grad, num_a, rtol=1e-6, atol=1e-8)
@@ -76,22 +72,12 @@ def test_gather_scatter_roundtrip_grad():
     np.testing.assert_array_equal(ad.sum_rows(w, idx, 6)[4:], 0.0)
 
 
-def test_slice1d_grad():
-    v = ad.param(rng.normal(size=(7,)))
-    ad.vsum(ad.slice1d(v, 2, 5) * ad.constant(np.array([1.0, 2.0, 3.0]))).backward()
-    expected = np.zeros(7)
-    expected[2:5] = [1.0, 2.0, 3.0]
-    np.testing.assert_allclose(v.grad, expected)
-
-
 def test_backward_twice_from_different_outputs_is_independent():
     x = ad.param(np.array([1.0, 2.0, 3.0]))
     y = x * x
-    z = ad.vsum(y)
-    z.backward()
+    y.backward()
     first = x.grad.copy()
-    z2 = ad.vsum(y * ad.constant(np.array([1.0, 1.0, 1.0])))
-    z2.backward()
+    (y * ad.constant(np.array([1.0, 1.0, 1.0]))).backward()
     np.testing.assert_allclose(x.grad, first)
 
 
@@ -119,4 +105,4 @@ def test_requires_grad_propagates_and_constants_stop():
     assert (x + c).requires_grad
     assert not (c * 2.0).requires_grad
     with pytest.raises(ValueError):
-        ad.vsum(c).backward()
+        c.backward()

@@ -422,3 +422,126 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys,
     assert rc == 1
     assert err == ("error: out of memory: Unable to allocate 7.45 GiB for "
                    "an array\n")
+
+
+# -- config values of the wrong type, in a config file or a checkpoint -------
+
+SMALL_CONFIG = {
+    "epochs": 2, "n_descent": 2, "lr_task": 5e-3,
+    "mask_d_prime": 8, "mask_hidden": 4,
+    "enrich": {"k": 3, "clusters": 3, "gamma_knn": 0.3, "gamma_spec": 0.3},
+    "tasknet": {"heads": 2, "head_dim": 4,
+                "attn_dropout": 0.0, "layer_dropout": 0.0},
+}
+INT_FIELDS = ("seed", "epochs", "n_descent", "n_ascent", "mask_d_prime",
+              "mask_hidden", "enrich.k", "enrich.clusters",
+              "enrich.solver_cap", "tasknet.layers", "tasknet.heads",
+              "tasknet.head_dim")
+
+
+def with_values(config, pairs):
+    """A copy of a nested config dict with each dotted field set."""
+    config = json.loads(json.dumps(config))
+    for field, value in pairs:
+        *path, name = field.split(".")
+        node = config
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = value
+    return config
+
+
+def run_train_config(domains, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(["train", "--config", str(path),
+                 "--source", str(domains[0]), "--source", str(domains[1]),
+                 "--out", str(tmp_path / "out")])
+
+
+def run_eval_config(domains, tmp_path, checkpoint, config):
+    """`maskdg eval` of `checkpoint` with its stored config replaced."""
+    with np.load(checkpoint) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["config"] = config
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    path = tmp_path / "edited.ckpt"
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    return main(["eval", "--checkpoint", str(path), "--graph",
+                 str(domains[2]), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("pairs", [
+    [("seed", 1.5)], [("seed", -1)], [("epochs", 1.5)],
+    [("tasknet.heads", 2.0)], [("enrich.k", 2.5)], [("n_ascent", True)],
+    [("lr_task", "fast")], [("mask_enabled", 1)],
+], ids=["seed-float", "seed-negative", "epochs-float", "heads-float",
+        "k-float", "n-ascent-bool", "lr-string", "mask-enabled-int"])
+def test_config_file_value_of_wrong_type_exits_1(domains, tmp_path, capsys,
+                                                 pairs):
+    rc = run_train_config(domains, tmp_path,
+                          with_values(SMALL_CONFIG, pairs))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: bad configuration: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"epochs"', "3", "null"])
+def test_config_file_that_is_not_an_object_exits_1(domains, tmp_path, capsys,
+                                                    text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(["train", "--config", str(path), "--source", str(domains[0]),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: "), text
+
+
+@pytest.mark.parametrize("pairs", [
+    [("enrich.k", 2.5)], [("enrich.clusters", 3.5)], [("seed", 1.5)],
+    [("seed", -1)],
+], ids=["k-float", "clusters-float", "seed-float", "seed-negative"])
+def test_checkpoint_config_value_of_wrong_type_exits_1(
+        domains, trained_checkpoint, tmp_path, capsys, pairs):
+    with np.load(trained_checkpoint) as data:
+        config = json.loads(bytes(data["meta"]).decode())["config"]
+    rc = run_eval_config(domains, tmp_path, trained_checkpoint,
+                         with_values(config, pairs))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "not a readable checkpoint" in err
+
+
+CONFIG_VALUES = st.one_of(st.integers(-3, 4), st.floats(-4, 4),
+                          st.booleans(), st.none(), st.text(max_size=2))
+FUZZ_PAIRS = st.lists(st.tuples(st.sampled_from(INT_FIELDS), CONFIG_VALUES),
+                      min_size=1, max_size=2)
+
+
+def assert_exit_0_or_1(rc, err):
+    assert rc in (0, 1) and "Traceback" not in err
+    assert rc == 0 or err.startswith("error: "), err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=FUZZ_PAIRS)
+def test_fuzzed_config_file_exits_0_or_1(domains, tmp_path, capsys, pairs):
+    rc = run_train_config(domains, tmp_path,
+                          with_values(SMALL_CONFIG, pairs))
+    assert_exit_0_or_1(rc, capsys.readouterr().err)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=FUZZ_PAIRS)
+def test_fuzzed_checkpoint_config_exits_0_or_1(domains, trained_checkpoint,
+                                               tmp_path, capsys, pairs):
+    with np.load(trained_checkpoint) as data:
+        config = json.loads(bytes(data["meta"]).decode())["config"]
+    rc = run_eval_config(domains, tmp_path, trained_checkpoint,
+                         with_values(config, pairs))
+    assert_exit_0_or_1(rc, capsys.readouterr().err)

@@ -3,14 +3,10 @@ import pytest
 
 from maskdg import autodiff as ad
 from maskdg.checks import eight_node_fixture, gradient_audit
-from maskdg.gradients import (
-    finite_diff_check,
-    grad_masknet,
-    grad_tasknet,
-    scorable_mean_var,
-)
-from maskdg.masknet import mask_forward
-from maskdg.tasknet import cross_entropy, tasknet_forward
+from maskdg.gradients import finite_diff_check, grad_masknet, grad_tasknet
+from maskdg.masknet import mask_forward, mask_forward_var
+from maskdg.tasknet import (cross_entropy, cross_entropy_var, tasknet_forward,
+                            tasknet_forward_var)
 from maskdg.theory import masknet_gradient_identity
 
 
@@ -52,10 +48,61 @@ def test_mask_grad_zero_on_self_loops():
 
 
 def test_mean_gradient_is_uniform_over_scorable_edges():
-    values = ad.param(np.array([0.3, 0.9, 0.4, 1.0, 1.0]))
-    mean = scorable_mean_var(values, 3)
-    mean.backward()
-    np.testing.assert_allclose(values.grad, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0])
+    # The lam * mean(s) term adds the scorer's VJP of lam/m on every scored
+    # edge and nothing on the self-loop tail.
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(3)
+    lam = 2.0
+    with_mean = grad_masknet(task, maskp, X, edges, labels, lam, cfg).grads
+    without = grad_masknet(task, maskp, X, edges, labels, 0.0, cfg).grads
+    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges)
+    mask_var.backward(np.where(scorable, lam / scorable.sum(), 0.0))
+    for name, v in mpv.named():
+        np.testing.assert_allclose(with_mean[name] - without[name], v.grad,
+                                   rtol=1e-9, atol=1e-15)
+
+
+def two_sweep_grad_masknet(task, maskp, X, edges, labels, lam, cfg):
+    """The adversary's gradient as two backward sweeps over one tape: the
+    classifier reads the scorer's output directly, the loss is swept for
+    d(loss)/d(s), then -loss + lam * mean(s) is built on the tape and swept
+    through both networks."""
+    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
+    m = int(scorable.sum())
+    logits = tasknet_forward_var(ad.param_vars(task, track=False), X, edges,
+                                 mask_var, cfg)
+    loss = cross_entropy_var(logits, labels)
+    loss.backward()
+    mask_grad = np.zeros(mask_var.data.shape)
+    mask_grad[scorable] = mask_var.grad[scorable]
+
+    def mean_vjp(g):
+        gs = np.zeros(mask_var.data.shape)
+        gs[:m] = g * (1.0 / m)
+        return ((mask_var, gs),)
+
+    neg = ad.Var(-loss.data, parents=(loss,), vjp=lambda g: ((loss, -g),))
+    mean = ad.Var(mask_var.data[:m].sum() * (1.0 / m), parents=(mask_var,),
+                  vjp=mean_vjp)
+    objective = neg + mean * lam
+    objective.backward()
+    return mpv.grads(), mask_grad, float(loss.data), float(objective.data)
+
+
+@pytest.mark.parametrize("dropped", [0, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1e3])
+def test_one_sweep_grad_masknet_equals_two_sweeps_bit_for_bit(lam, dropped):
+    # Dropping 3 edges leaves 13 scored ones, where lam / m and lam * (1 / m)
+    # differ in the last bit for lam = 0.01 and 1e3.
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(11)
+    edges = edges[dropped:]
+    bundle = grad_masknet(task, maskp, X, edges, labels, lam, cfg)
+    grads, mask_grad, loss, objective = two_sweep_grad_masknet(
+        task, maskp, X, edges, labels, lam, cfg)
+    assert bundle.grads.keys() == grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(bundle.grads[name], grads[name])
+    np.testing.assert_array_equal(bundle.mask_grad, mask_grad)
+    assert (bundle.loss, bundle.objective) == (loss, objective)
 
 
 def test_two_path_identity_direct_vs_jacobian_product():
@@ -132,3 +179,19 @@ def test_gradients_flow_into_w_out_when_rest_is_flat():
             assert np.any(bundle.grads[name] != 0.0)
         else:
             np.testing.assert_allclose(bundle.grads[name], 0.0, atol=1e-15)
+
+
+def test_grad_masknet_takes_self_loops_anywhere():
+    # The same edges with the self-loops moved off the tail: the scorer
+    # gradients agree and d(loss)/d(s) follows the permutation.
+    task, maskp, X, edges, labels, cfg = eight_node_fixture(12)
+    perm = np.random.default_rng(0).permutation(edges.shape[0])
+    assert (edges[perm, 0] == edges[perm, 1])[:-8].any()
+    base = grad_masknet(task, maskp, X, edges, labels, 0.05, cfg)
+    moved = grad_masknet(task, maskp, X, edges[perm], labels, 0.05, cfg)
+    np.testing.assert_allclose(moved.mask_grad, base.mask_grad[perm],
+                               rtol=1e-12, atol=1e-15)
+    for name in base.grads:
+        np.testing.assert_allclose(moved.grads[name], base.grads[name],
+                                   rtol=1e-10, atol=1e-15)
+    assert moved.objective == pytest.approx(base.objective, rel=1e-12)

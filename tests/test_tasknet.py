@@ -387,7 +387,7 @@ def test_edge_gathers_are_contiguous(monkeypatch):
                         ad.param(np.ones(1))) for _ in range(H)]
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=seg.src.size))
-    ad.vsum(gat_layer(x, heads, mask, seg, "elu", False)).backward()
+    gat_layer(x, heads, mask, seg, "elu", False).backward()
     assert (H, d_h, seg.src.size) in [g.shape for g in gathered]   # z_src
     assert all(g.flags.c_contiguous for g in gathered)
 
@@ -421,12 +421,13 @@ def test_gat_layer_vjp_matches_finite_differences(activation, final, dropout):
                  for k in range(H)]
         out = gat_layer(v["x"], heads, v["mask"], seg, activation, final,
                         keep)
-        return ad.vsum(out * ad.constant(weight)), v
+        return out * ad.constant(weight), v
 
+    # backward's default all-ones seed differentiates the sum of the output
     total, v = loss(ad.param)
     total.backward()
     analytic = {name: var.grad for name, var in v.items()}
-    report = finite_diff_check(lambda: float(loss(ad.constant)[0].data),
+    report = finite_diff_check(lambda: float(loss(ad.constant)[0].data.sum()),
                                list(arrays.items()), analytic, h=1e-5,
                                tol=1e-6)
     assert report.passed, list(report.lines())
@@ -480,6 +481,34 @@ def test_dropout_draws_match_per_head_sequential_draws():
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     np.testing.assert_array_equal(a.random((3, E)),
                                   np.stack([b.random(E) for _ in range(3)]))
+
+
+def test_forward_with_prebuilt_segments_equals_forward_without():
+    # A caller may build EdgeSegments once and reuse it across passes.
+    cfg = TaskNetConfig(layers=2, heads=2, head_dim=3,
+                        attn_dropout=0.3, layer_dropout=0.2)
+    p = small_params(4, 3, cfg, seed=8)
+    n = 6
+    r = np.random.default_rng(9)
+    X = r.normal(size=(n, 4))
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                              (5, 3), (1, 4)], n)
+    mask = r.uniform(size=edges.shape[0])
+    seg = EdgeSegments(edges, n)
+
+    def run(seg):
+        pv = ad.param_vars(p, track=True)
+        out = tasknet_forward_var(pv, X, edges, ad.constant(mask), cfg,
+                                  np.random.default_rng(4), seg)
+        out.backward()
+        return out.data, pv.grads()
+
+    want, want_grads = run(None)
+    for _ in range(2):
+        got, got_grads = run(seg)
+        np.testing.assert_array_equal(got, want)
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name])
 
 
 # -- non-finite values --------------------------------------------------------------

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from maskdg import autodiff as ad
 from maskdg.enrich import EnrichConfig
 from maskdg.graph import DomainDataset, EdgeOrigin, Graph, coalesce, make_edges
 from maskdg.masknet import EdgeMask, mask_forward
 from maskdg.optim import AdamState, adam_step
-from maskdg.tasknet import TaskNetConfig, cross_entropy, tasknet_forward
+from maskdg.tasknet import (TaskNetConfig, cross_entropy, init_tasknet,
+                            tasknet_forward)
 from maskdg.training import (
     TrainConfig,
     ablate_2x2,
@@ -29,39 +31,105 @@ from maskdg.training import (
 
 # -- adam -------------------------------------------------------------------
 
+@dataclasses.dataclass
+class Vec(ad.Params):
+    x: np.ndarray
+
+    def named(self):
+        return [("x", self.x)]
+
+    def map(self, fn):
+        return Vec(fn(self.x))
+
+
+def packed_vec(values):
+    return ad.packed(Vec(np.array(values, dtype=np.float64)))
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
-    x = np.array([1.0, -2.0])
+    p = packed_vec([1.0, -2.0])
     state = AdamState()
-    adam_step(state, [("x", x)], {"x": np.zeros(2)}, lr=0.1)
-    np.testing.assert_array_equal(x, [1.0, -2.0])
+    adam_step(state, p, {"x": np.zeros(2)}, lr=0.1)
+    np.testing.assert_array_equal(p.x, [1.0, -2.0])
 
 
 def test_adam_first_step_matches_hand_formula():
-    x = np.array([0.0])
+    p = packed_vec([0.0])
     state = AdamState()
-    adam_step(state, [("x", x)], {"x": np.array([1.0])}, lr=0.1)
+    adam_step(state, p, {"x": np.array([1.0])}, lr=0.1)
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
-    assert x[0] == pytest.approx(expected, abs=1e-15)
-    assert x[0] == pytest.approx(-0.1, abs=1e-8)
+    assert p.x[0] == pytest.approx(expected, abs=1e-15)
+    assert p.x[0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_constant_gradient_update_approaches_lr():
-    x = np.array([0.0])
+    p = packed_vec([0.0])
     state = AdamState()
     g = {"x": np.array([3.0])}
-    prev = x[0]
+    prev = p.x[0]
     for _ in range(400):
-        prev = x[0]
-        adam_step(state, [("x", x)], g, lr=0.05)
-    assert abs(prev - x[0]) == pytest.approx(0.05, rel=1e-4)
+        prev = p.x[0]
+        adam_step(state, p, g, lr=0.05)
+    assert abs(prev - p.x[0]) == pytest.approx(0.05, rel=1e-4)
 
 
 def test_adam_weight_decay_adds_l2_pull():
-    x = np.array([10.0])
+    p = packed_vec([10.0])
     state = AdamState()
-    adam_step(state, [("x", x)], {"x": np.array([0.0])}, lr=0.1,
-              weight_decay=0.5)
-    assert x[0] < 10.0   # decay alone produces a shrink step
+    adam_step(state, p, {"x": np.array([0.0])}, lr=0.1, weight_decay=0.5)
+    assert p.x[0] < 10.0   # decay alone produces a shrink step
+
+
+def per_tensor_adam(state, named_params, grads, lr, weight_decay, t,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one tensor at a time, moments in `state` by name."""
+    for name, arr in named_params:
+        g = grads[name]
+        if weight_decay:
+            g = g + weight_decay * arr
+        m, v = state.setdefault(name, (np.zeros_like(arr),
+                                       np.zeros_like(arr)))
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_fused_adam_is_bit_identical_to_per_tensor_adam():
+    cfg = TaskNetConfig(layers=2, heads=3, head_dim=4)
+    task = ad.packed(init_tasknet(5, 3, cfg, np.random.default_rng(0)))
+    ref = [(name, arr.copy()) for name, arr in task.named()]
+    fused, moments = AdamState(), {}
+    rng = np.random.default_rng(1)
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=arr.shape) for name, arr in ref}
+        adam_step(fused, task, grads, lr=1e-2, weight_decay=5e-3)
+        per_tensor_adam(moments, ref, grads, 1e-2, 5e-3, t)
+        for (name, arr), (_, want) in zip(task.named(), ref):
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+    assert fused.step == 5
+
+
+def test_adam_state_rejects_parameters_of_another_size():
+    state = AdamState()
+    adam_step(state, packed_vec([1.0, 2.0]), {"x": np.ones(2)}, lr=0.1)
+    with pytest.raises(ValueError, match="moments"):
+        adam_step(state, packed_vec([1.0, 2.0, 3.0]), {"x": np.ones(3)},
+                  lr=0.1)
+    assert state.step == 1
+
+
+def test_adam_rejects_parameters_outside_their_buffer():
+    p = packed_vec([1.0])
+    with pytest.raises(ValueError, match="packed"):
+        adam_step(AdamState(), Vec(np.array([1.0])), {"x": np.ones(1)},
+                  lr=0.1)
+    p.x = np.array([1.0])     # rebound: no longer a view of p.flat
+    with pytest.raises(ValueError, match="packed"):
+        adam_step(AdamState(), p, {"x": np.ones(1)}, lr=0.1)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -263,8 +331,10 @@ def _step_fixture():
     rng = np.random.default_rng(0)
     enriched = Enricher(g, cfg.enrich, rng).sample(rng)
     r = np.random.default_rng(1)
-    task = init_tasknet(g.num_features, g.num_classes, cfg.tasknet, r)
-    maskp = init_masknet(g.num_features, cfg.mask_d_prime, cfg.mask_hidden, r)
+    task = ad.packed(init_tasknet(g.num_features, g.num_classes,
+                                  cfg.tasknet, r))
+    maskp = ad.packed(init_masknet(g.num_features, cfg.mask_d_prime,
+                                   cfg.mask_hidden, r))
     return g, enriched, cfg, task, maskp
 
 
