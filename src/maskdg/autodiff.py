@@ -9,7 +9,7 @@ node that requires it.
 The networks' layers are each one op with a hand-written vector-Jacobian
 product, built on `Var` in their own modules: the scorer in `masknet`, each
 attention layer and the cross-entropy in `tasknet`. What remains here is the
-arithmetic that glues them together (sums, products, 2-D matmul,
+arithmetic that glues them together (same-shape products, 2-D matmul,
 transpose, dropout), the parameter containers, and the segment helpers
 `stable_order` and `sum_rows` that their VJPs share.
 """
@@ -17,19 +17,6 @@ transpose, dropout), the parameter containers, and the segment helpers
 from __future__ import annotations
 
 import numpy as np
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 class Var:
@@ -93,33 +80,17 @@ class Var:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = as_var(other)
-        out_data = self.data + other.data
-
-        def vjp(g):
-            return ((self, _unbroadcast(g, self.data.shape)),
-                    (other, _unbroadcast(g, other.data.shape)))
-
-        return Var(out_data, parents=(self, other), vjp=vjp)
-
-    __radd__ = __add__
-
     def __mul__(self, other):
-        other = as_var(other)
+        """Elementwise product of two same-shape operands."""
         out_data = self.data * other.data
         a_data, b_data = self.data, other.data
 
         def vjp(g):
-            return ((self, _unbroadcast(g * b_data, a_data.shape)),
-                    (other, _unbroadcast(g * a_data, b_data.shape)))
+            return ((self, g * b_data), (other, g * a_data))
 
         return Var(out_data, parents=(self, other), vjp=vjp)
 
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
-        other = as_var(other)
         a_data, b_data = self.data, other.data
         out_data = a_data @ b_data
 
@@ -127,10 +98,6 @@ class Var:
             return ((self, g @ b_data.T), (other, a_data.T @ g))
 
         return Var(out_data, parents=(self, other), vjp=vjp)
-
-
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
 
 
 def constant(x) -> Var:
@@ -149,12 +116,6 @@ class Params:
     either the arrays or their tape Vars."""
 
     flat = None     # the buffer behind every array of a `packed` container
-
-    def __getitem__(self, name: str):
-        return dict(self.named())[name]
-
-    def num_params(self) -> int:
-        return sum(arr.size for _, arr in self.named())
 
     def grads(self) -> dict:
         """Adjoints of a container of Vars by name, zero where none arrived."""

@@ -90,9 +90,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels != UNLABELED
-
     def with_labels(self, labels: Sequence[int]) -> "Graph":
         return Graph(self.features, self.edges, np.asarray(labels),
                      self.num_classes, self.domain_id)

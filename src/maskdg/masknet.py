@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import tasknet
 
 
 @dataclass
@@ -85,7 +86,12 @@ def init_masknet(d: int, d_prime: int = 128, hidden: int = 64,
 def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     """The whole scorer as one tape op with a hand-written VJP: a full-length
     mask holding the score of each non-self-loop edge and 1 at each
-    self-loop, and the boolean vector of the scored entries."""
+    self-loop, and the boolean vector of the scored entries. Without a VJP
+    to record, the edges run in blocks of `rows` (the last also takes the
+    remainder) whose (rows, 2d') pairs fit in tasknet._CHUNK_BYTES. `rows`
+    is a multiple of 64 and no block is shorter, so each row meets the same
+    BLAS kernels as in one pass: the scores match it to the bit.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src, dst = edges[:, 0], edges[:, 1]
     if edges.size and max(src.max(), dst.max()) >= X.shape[0]:
@@ -94,20 +100,26 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     src, dst = src[scorable], dst[scorable]
     params = [v for _, v in pv.named()]
     W0, b0, W1, b1, W2, b2 = (v.data for v in params)
+    taped = any(v.requires_grad for v in params)
     X = np.asarray(X, dtype=np.float64)
     # Allocated before the (E, .) temporaries, so that they are freed from
     # the top of the heap; allocated after them, it raised peak RSS.
     values = np.ones(scorable.shape[0])
+    s = np.empty(src.size)
     pre0 = X @ W0.T + b0
     z = pre0 * (pre0 > 0)
-    pair = np.concatenate([z[src], z[dst]], axis=1)
-    pre1 = pair @ W1.T + b1
-    h = pre1 * (pre1 > 0)
-    logit = (h @ W2.T + b2).reshape(-1)
-    t = np.exp(-np.abs(logit))                       # stable in both tails
-    s = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    rows = max(1, tasknet._CHUNK_BYTES // (8 * 2 * z.shape[1]) // 64) * 64
+    blocks = 1 if taped else max(1, src.size // rows)
+    cuts = [i * rows for i in range(blocks)] + [src.size]
+    for lo, hi in zip(cuts, cuts[1:]):   # taped: one block, read by the VJP
+        pair = np.concatenate([z[src[lo:hi]], z[dst[lo:hi]]], axis=1)
+        pre1 = pair @ W1.T + b1
+        h = pre1 * (pre1 > 0)
+        logit = (h @ W2.T + b2).reshape(-1)
+        t = np.exp(-np.abs(logit))                   # stable in both tails
+        s[lo:hi] = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     values[scorable] = s
-    if not any(v.requires_grad for v in params):
+    if not taped:
         return ad.Var(values), scorable
 
     def vjp(g):

@@ -19,6 +19,10 @@ from .graph import UNLABELED
 
 LEAKY_SLOPE = 0.2
 
+# Byte budget of the widest edge tensor of a forward-only pass, which runs in
+# blocks (mask rows in loss_over_masks, edges in gat_layer and masknet).
+_CHUNK_BYTES = 1 << 20
+
 
 class NonFiniteError(FloatingPointError):
     """A forward intermediate went non-finite; carries layer/head location."""
@@ -140,6 +144,26 @@ class EdgeSegments:
         self.dst_by_src = self.dst[self.src_order]
         self._src_rows = np.flatnonzero(out_deg)      # nodes with out-edges
         self._src_starts = (np.cumsum(out_deg) - out_deg)[self._src_rows]
+        self.first = 0
+
+    def blocks(self, max_edges: int) -> List["EdgeSegments"]:
+        """[self] if it holds at most `max_edges` edges, else forward-only
+        runs of consecutive destinations holding at most that many (or one
+        node): source ids stay, destinations count from the run's `first`."""
+        bounds = np.append(self.starts, self.src.size)
+        if bounds[-1] <= max_edges:
+            return [self]
+        runs, lo = [], 0
+        while lo < self.num_nodes:
+            hi = np.searchsorted(bounds, bounds[lo] + max_edges, "right") - 1
+            hi = max(int(hi), lo + 1)
+            run, (e0, e1) = object.__new__(EdgeSegments), bounds[[lo, hi]]
+            run.order, run.src = self.order[e0:e1], self.src[e0:e1]
+            run.dst, run.starts = self.dst[e0:e1] - lo, self.starts[lo:hi] - e0
+            run.first, run.num_nodes = lo, hi - lo
+            runs.append(run)
+            lo = hi
+        return runs
 
     @staticmethod
     def take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -186,7 +210,9 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     of the activated heads, the final layer their mean. Inside, node tensors
     are (..., H, F, N) and edge tensors (..., H, F, E). Raises
     NonFiniteError naming `layer` and the first head whose sums went
-    non-finite.
+    non-finite. Without a VJP to record, the edge stage runs over
+    `seg.blocks` whose (..., H, d_h, E) tensors fit in _CHUNK_BYTES; every
+    node's softmax and sum see the same operands, so the bits match one pass.
     """
     H, d_h = len(heads), heads[0].W.data.shape[0]
     W = np.concatenate([hp.W.data for hp in heads])           # (H d_h, D)
@@ -195,21 +221,29 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     P = a[:, :2 * d_h].reshape(H, 2, d_h)                     # (H, 2, d_h)
     c = (a[:, 2 * d_h] * w)[:, None, None]                    # (H, 1, 1)
     take = seg.take
+    params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
+    want_params = any(v.requires_grad for v in params)
+    taped = want_params or h.requires_grad or mask.requires_grad
 
     x = h.data
     z = (W @ np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (H, d_h, -1))
     # Source and destination scores of every head and node: (..., H, 2, N).
     s = P @ z
-    m = take(mask.data, seg.order)[..., None, None, :]       # (..., 1, 1, E)
-    raw = (take(s[..., :1, :], seg.src) + take(s[..., 1:, :], seg.dst)
-           + m * c)
-    slope = np.where(raw > 0, 1.0, LEAKY_SLOPE)
-    alpha = seg.softmax(raw * slope)                          # (..., H, 1, E)
-    keep = 1.0 if keep is None else take(keep, seg.order)[:, None, :]
-    kept = alpha * keep
-    coef = m * kept
-    z_src = take(z, seg.src)                                  # (..., H, d_h, E)
-    agg = seg.sum(coef * z_src)                               # (..., H, d_h, N)
+    rows = np.broadcast(z[..., 0, 0, 0], mask.data[..., 0]).size  # mask rows
+    runs = [seg] if taped else seg.blocks(_CHUNK_BYTES // (8 * rows * H * d_h))
+    parts = []
+    for run in runs:      # taped: one run, whose edge tensors the VJP reads
+        m = take(mask.data, run.order)[..., None, None, :]   # (..., 1, 1, E)
+        dst_s = s[..., 1:, run.first:run.first + run.num_nodes]
+        raw = take(s[..., :1, :], run.src) + take(dst_s, run.dst) + m * c
+        slope = np.where(raw > 0, 1.0, LEAKY_SLOPE)
+        alpha = run.softmax(raw * slope)                      # (..., H, 1, E)
+        drop = 1.0 if keep is None else take(keep, run.order)[:, None, :]
+        kept = alpha * drop
+        coef = m * kept
+        z_src = take(z, run.src)                              # (..., H, d_h, E)
+        parts.append(run.sum(coef * z_src))                   # (..., H, d_h, N)
+    agg = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if not np.isfinite(agg.sum()):      # any non-finite entry shows in the sum
         bad = ~np.isfinite(agg.reshape(-1, H, d_h, agg.shape[-1])).all(
             axis=(0, 2, 3))
@@ -218,24 +252,22 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     pos = agg > 0
     if activation == "elu":
         neg = np.expm1(np.minimum(agg, 0.0))
-        out, dact = np.where(pos, agg, neg), np.where(pos, 1.0, neg + 1.0)
+        out = np.where(pos, agg, neg)
     else:
-        out, dact = agg * pos, pos
+        out = agg * pos
     out = (out.sum(axis=-3) * (1.0 / H) if final
            else out.reshape(out.shape[:-3] + (H * d_h, -1)))
     out = np.swapaxes(out, -1, -2)
-
-    params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
-    want_params = any(v.requires_grad for v in params)
-    if not (want_params or h.requires_grad or mask.requires_grad):
+    if not taped:
         return ad.Var(out)
+    dact = np.where(pos, 1.0, neg + 1.0) if activation == "elu" else pos
 
     def vjp(g):
         g = g.T * (1.0 / H) if final else g.T.reshape(agg.shape)
         g_agg = g * dact                                      # (H, d_h, N)
         g_msg = take(g_agg, seg.dst)                          # (H, d_h, E)
         g_coef = (g_msg * z_src).sum(axis=-2, keepdims=True)  # (H, 1, E)
-        g_alpha = g_coef * m * keep
+        g_alpha = g_coef * m * drop
         g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
         g_raw = alpha * (g_alpha - g_shift) * slope
         grads = []
@@ -342,11 +374,6 @@ def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(_nll(logits, labels)[0])
-
-
-# Byte budget of the widest per-chunk edge tensor in loss_over_masks: large
-# mask batches run in row chunks so that peak memory stays flat.
-_CHUNK_BYTES = 1 << 20
 
 
 def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -55,8 +56,11 @@ class TrainConfig:
                 or self.seed < 0):
             raise ValueError("epochs >= 0, n_descent >= 1, n_ascent >= 1, "
                              "seed >= 0")
-        if self.sparsity < 0:
-            raise ValueError("sparsity must be >= 0")
+        if not (self.lr_task > 0 and self.lr_mask > 0 and self.adam_eps > 0
+                and self.sparsity >= 0 and self.weight_decay_task >= 0
+                and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("need lr_task, lr_mask, adam_eps > 0, sparsity, "
+                             "weight_decay_task >= 0, adam betas in [0, 1)")
         if self.mask_d_prime < 1 or self.mask_hidden < 1:
             raise ValueError("mask_d_prime and mask_hidden must be >= 1")
         if self.inference_mask_mode not in ("all-ones", "masknet"):
@@ -116,11 +120,8 @@ class TrainResult:
 
 def dual_ascent_lambda(lam: float, mean_s: float, rho: float,
                        step: float) -> float:
-    """Projected multiplier update: lam + step * (mean_s - rho), clipped at 0."""
-    if step <= 0:
-        raise ValueError("dual step must be positive")
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    """Projected multiplier update: lam + step * (mean_s - rho), clipped at 0.
+    TrainConfig has checked that step > 0 and rho lies in (0, 1]."""
     return max(0.0, lam + step * (mean_s - rho))
 
 
@@ -370,14 +371,16 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 def _typed(cls, data: dict):
     """cls(**data) once each value fits its field's default: an int field
-    takes an int, a float field an int or a float, only a bool field a bool."""
+    takes an int, a float field an int or float within the float64 range
+    (not NaN or infinite), only a bool field a bool."""
     for f in dataclasses.fields(cls):
         want, value = type(f.default), data.get(f.name, f.default)
         if want in (bool, int, float) and not (
                 isinstance(value, (int, float) if want is float else want)
-                and isinstance(value, bool) == (want is bool)):
-            raise ValueError(f"{f.name} must be {want.__name__}, got "
-                             f"{value!r}")
+                and isinstance(value, bool) == (want is bool)
+                and (want is not float or abs(value) <= sys.float_info.max)):
+            kind = f"finite {want.__name__}" if want is float else want.__name__
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
     return cls(**data)
 
 

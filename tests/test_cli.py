@@ -515,6 +515,47 @@ def test_checkpoint_config_value_of_wrong_type_exits_1(
     assert err.startswith("error: ") and "not a readable checkpoint" in err
 
 
+NON_FINITE_OR_OUT_OF_RANGE = [
+    [("sparsity", float("nan"))], [("lr_task", float("inf"))],
+    [("weight_decay_task", -float("inf"))], [("dual_step", float("nan"))],
+    [("tasknet.attn_dropout", float("nan"))],
+    [("enrich.gamma_knn", float("inf"))], [("lr_mask", 0.0)],
+    [("weight_decay_task", -1e-4)], [("adam_beta1", 1.0)],
+    [("adam_beta2", -0.1)], [("adam_eps", 0)], [("lr_task", 10 ** 400)],
+]
+NON_FINITE_IDS = ["sparsity-nan", "lr-task-inf", "weight-decay-minus-inf",
+                  "dual-step-nan", "attn-dropout-nan", "gamma-knn-inf",
+                  "lr-mask-0", "weight-decay-negative", "beta1-1",
+                  "beta2-negative", "eps-0", "lr-task-int-past-float64"]
+
+
+@pytest.mark.parametrize("pairs", NON_FINITE_OR_OUT_OF_RANGE,
+                         ids=NON_FINITE_IDS)
+def test_config_file_float_not_finite_or_out_of_range_exits_1(
+        domains, tmp_path, capsys, pairs):
+    rc = run_train_config(domains, tmp_path,
+                          with_values(SMALL_CONFIG, pairs))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: bad configuration: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()     # rejected before any work
+
+
+@pytest.mark.parametrize("pairs", NON_FINITE_OR_OUT_OF_RANGE[:3],
+                         ids=NON_FINITE_IDS[:3])
+def test_checkpoint_config_float_not_finite_exits_1(
+        domains, trained_checkpoint, tmp_path, capsys, pairs):
+    with np.load(trained_checkpoint) as data:
+        config = json.loads(bytes(data["meta"]).decode())["config"]
+    rc = run_eval_config(domains, tmp_path, trained_checkpoint,
+                         with_values(config, pairs))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "not a readable checkpoint" in err
+    assert "Traceback" not in err
+
+
 CONFIG_VALUES = st.one_of(st.integers(-3, 4), st.floats(-4, 4),
                           st.booleans(), st.none(), st.text(max_size=2))
 FUZZ_PAIRS = st.lists(st.tuples(st.sampled_from(INT_FIELDS), CONFIG_VALUES),
@@ -544,4 +585,23 @@ def test_fuzzed_checkpoint_config_exits_0_or_1(domains, trained_checkpoint,
         config = json.loads(bytes(data["meta"]).decode())["config"]
     rc = run_eval_config(domains, tmp_path, trained_checkpoint,
                          with_values(config, pairs))
+    assert_exit_0_or_1(rc, capsys.readouterr().err)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_bytes_exit_0_or_1(domains, trained_checkpoint,
+                                                tmp_path, capsys, data):
+    raw = bytearray(trained_checkpoint.read_bytes())
+    raw = raw[:data.draw(st.integers(1, len(raw)), label="length")]
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                         st.integers(1, 255)), max_size=6),
+                      label="flips")
+    for pos, bits in flips:
+        raw[pos] ^= bits
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(bytes(raw))
+    rc = main(["eval", "--checkpoint", str(path), "--graph", str(domains[2]),
+               "--out", str(tmp_path / "out")])
     assert_exit_0_or_1(rc, capsys.readouterr().err)

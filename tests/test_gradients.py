@@ -80,10 +80,10 @@ def two_sweep_grad_masknet(task, maskp, X, edges, labels, lam, cfg):
         gs[:m] = g * (1.0 / m)
         return ((mask_var, gs),)
 
-    neg = ad.Var(-loss.data, parents=(loss,), vjp=lambda g: ((loss, -g),))
     mean = ad.Var(mask_var.data[:m].sum() * (1.0 / m), parents=(mask_var,),
                   vjp=mean_vjp)
-    objective = neg + mean * lam
+    objective = ad.Var(-loss.data + mean.data * lam, parents=(loss, mean),
+                       vjp=lambda g: ((loss, -g), (mean, g * lam)))
     objective.backward()
     return mpv.grads(), mask_grad, float(loss.data), float(objective.data)
 

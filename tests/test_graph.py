@@ -14,6 +14,7 @@ from maskdg.graph import (
     load_graph,
     make_edges,
     save_graph,
+    UNLABELED,
 )
 
 
@@ -36,7 +37,7 @@ def test_load_symmetrizes_undirected_edges(tmp_path):
     got = set(map(tuple, g.edges[:, :2]))
     assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
     assert (g.edges[:, 2] == int(EdgeOrigin.ORIGINAL)).all()
-    assert list(g.labeled_mask()) == [True, True, False]
+    assert list(g.labels != UNLABELED) == [True, True, False]
 
 
 def test_load_counts_scale_like_citation_network(tmp_path):

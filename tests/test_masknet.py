@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maskdg import tasknet
 from maskdg.graph import EdgeOrigin, make_edges
 from maskdg.masknet import (EdgeMask, MaskNetParams, init_masknet,
                             mask_forward, mask_forward_var)
@@ -15,7 +16,7 @@ def edges_with_loops(pairs, n):
 def test_parameter_count_matches_shape_arithmetic():
     p = init_masknet(d=6775, d_prime=128, hidden=64, rng=np.random.default_rng(0))
     expected = 6775 * 128 + 128 + 256 * 64 + 64 + 64 * 1 + 1
-    assert p.num_params() == expected
+    assert sum(arr.size for _, arr in p.named()) == expected
 
 
 def test_same_seed_gives_identical_params():
@@ -127,7 +128,7 @@ def test_scorer_jacobian_rows_match_central_differences():
         seed = np.zeros(edges.shape[0])
         seed[e] = 1.0
         mask_var.backward(seed)
-        for name, arr in p.named():
+        for (name, arr), (_, v) in zip(p.named(), pv.named()):
             num = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
@@ -137,7 +138,7 @@ def test_scorer_jacobian_rows_match_central_differences():
                 down = mask_forward(p, X, edges).values[e]
                 arr[idx] = orig
                 num[idx] = (up - down) / (2 * h)
-            np.testing.assert_allclose(pv[name].grad, num, rtol=1e-6,
+            np.testing.assert_allclose(v.grad, num, rtol=1e-6,
                                        atol=1e-9, err_msg=f"{name} row {e}")
     assert mask_var.data.tobytes() == mask_forward(p, X, edges).values.tobytes()
 
@@ -149,5 +150,28 @@ def test_self_loop_seed_gives_zero_scorer_gradient():
     seed = np.zeros(edges.shape[0])
     seed[np.flatnonzero(~scorable)[2]] = 1.0
     mask_var.backward(seed)
-    for name, _ in p.named():
-        np.testing.assert_array_equal(pv[name].grad, 0.0, err_msg=name)
+    for name, v in pv.named():
+        np.testing.assert_array_equal(v.grad, 0.0, err_msg=name)
+
+
+def test_scores_in_edge_blocks_are_bit_identical(monkeypatch):
+    # 64-row blocks over 300 scored edges (the last block takes 108), with
+    # self-loops spread through the edge list. With blocks of 59 rows, three
+    # scores differ in the last bit: BLAS treats rows by their offset.
+    r = np.random.default_rng(12)
+    n, d_prime = 30, 4
+    pairs = [(int(s), int(d)) for s, d in r.integers(0, n, size=(600, 2))
+             if s != d][:300]
+    pairs += [(i, i) for i in range(n)]
+    edges = make_edges([pairs[i] for i in r.permutation(len(pairs))],
+                       EdgeOrigin.ORIGINAL)
+    p = init_masknet(5, d_prime, 32, np.random.default_rng(4))
+    X = r.normal(size=(n, 5))
+    whole = mask_forward(p, X, edges)
+    assert whole.num_scorable == 300
+    assert np.flatnonzero(~whole.scorable)[0] < edges.shape[0] - n
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 64 * 8 * 2 * d_prime)
+    blocked = mask_forward(p, X, edges)
+    np.testing.assert_array_equal(blocked.values, whole.values)
+    np.testing.assert_array_equal(blocked.scorable, whole.scorable)
+    np.testing.assert_array_equal(whole.values[~whole.scorable], 1.0)

@@ -524,3 +524,91 @@ def test_nonfinite_weight_is_reported_at_its_layer_and_head(bad):
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
         tasknet_forward(p, X, edges, np.ones(edges.shape[0]), cfg)
     assert (info.value.layer, info.value.head) == (1, 2)
+
+
+# -- forward-only passes in blocks of destination nodes ------------------------
+
+def hub_graph():
+    """40 nodes in shuffled edge order: random edges, a self-loop at every
+    node, and node 7 with 60 in-edges, so that some runs hold one node."""
+    r = np.random.default_rng(31)
+    n = 40
+    pairs = [(int(s), int(d)) for s, d in r.integers(0, n, size=(160, 2))]
+    pairs += [(int(s), 7) for s in r.integers(0, n, size=60)]
+    pairs += [(i, i) for i in range(n)]
+    perm = r.permutation(len(pairs))
+    return make_edges([pairs[i] for i in perm], EdgeOrigin.ORIGINAL), n
+
+
+def edge_bytes(cfg, batch=1):
+    """Bytes per edge of the widest edge tensor of one layer."""
+    return 8 * batch * cfg.heads * cfg.head_dim
+
+
+@pytest.mark.parametrize("activation", ["elu", "relu"])
+def test_forward_in_runs_of_destinations_is_bit_identical(monkeypatch,
+                                                          activation):
+    cfg = TaskNetConfig(layers=3, heads=2, head_dim=3, activation=activation,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    edges, n = hub_graph()
+    p = small_params(5, 3, cfg, seed=2)
+    r = np.random.default_rng(6)
+    X, mask = r.normal(size=(n, 5)), r.uniform(size=edges.shape[0])
+    whole = tasknet_forward(p, X, edges, mask, cfg)
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 25 * edge_bytes(cfg))
+    runs = EdgeSegments(edges, n).blocks(25)
+    assert len(runs) > 5
+    assert any(r.num_nodes == 1 and r.src.size > 25 for r in runs)   # node 7
+    assert all(r.src.size <= 25 for r in runs if r.num_nodes > 1)
+    np.testing.assert_array_equal(tasknet_forward(p, X, edges, mask, cfg),
+                                  whole)
+
+
+def test_batched_masks_in_runs_of_destinations_are_bit_identical(monkeypatch):
+    cfg = TaskNetConfig(layers=2, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    edges, n = hub_graph()
+    p = small_params(5, 3, cfg, seed=4)
+    r = np.random.default_rng(8)
+    X = r.normal(size=(n, 5))
+    labels = r.integers(0, 3, size=n)
+    masks = r.uniform(size=(3, edges.shape[0]))
+
+    def logits():
+        return tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
+                                   ad.constant(masks), cfg).data
+
+    whole = logits()
+    singles = [cross_entropy(tasknet_forward(p, X, edges, m, cfg), labels)
+               for m in masks]
+    # 3 mask rows share the budget: runs of at most 20 edges
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 20 * edge_bytes(cfg, 3))
+    np.testing.assert_array_equal(logits(), whole)
+    # loss_over_masks now takes one mask row per chunk, in runs of 60 edges;
+    # a one-row chunk gives the single-mask forward's bits
+    np.testing.assert_array_equal(
+        loss_over_masks(p, X, edges, labels, masks, cfg), singles)
+
+
+def test_nonfinite_head_in_a_later_run_is_named_as_in_one_pass(monkeypatch):
+    # The mask logit weight is +1e10 in head 1, -1e10 in head 3 and 0 in the
+    # others. A mask value of +1e300 sends head 1's logit to +inf (its
+    # softmax goes NaN), -1e300 does the same to head 3; the -inf logits of
+    # the other sign get weight zero. Head 3 breaks at a node in the first
+    # run, head 1 only in the last: the layer still names head 1.
+    cfg = TaskNetConfig(layers=2, heads=4, head_dim=2,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    edges, n = hub_graph()
+    p = small_params(5, 3, cfg, seed=3)
+    for k, hp in enumerate(p.layers[0]):
+        hp.a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
+    mask = np.ones(edges.shape[0])
+    mask[np.flatnonzero(edges[:, 1] == 0)[0]] = -1e300
+    mask[np.flatnonzero(edges[:, 1] == n - 1)[0]] = 1e300
+    X = np.random.default_rng(1).normal(size=(n, 5))
+    assert len(EdgeSegments(edges, n).blocks(25)) > 2
+    for budget in (25 * edge_bytes(cfg), 1 << 20):
+        monkeypatch.setattr(tasknet, "_CHUNK_BYTES", budget)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            tasknet_forward(p, X, edges, mask, cfg)
+        assert (info.value.layer, info.value.head) == (0, 1)

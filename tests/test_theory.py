@@ -226,6 +226,6 @@ def test_single_edge_score_jacobian_sign():
     edges = make_edges([(0, 1)], EdgeOrigin.ORIGINAL)
     mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
     mask_var.backward(np.array([1.0]))
-    assert mpv["mlp_b2"].grad[0] > 0.0
+    assert mpv.mlp_b2.grad[0] > 0.0
     s = mask_var.data[0]
-    assert mpv["mlp_b2"].grad[0] == pytest.approx(s * (1 - s), rel=1e-12)
+    assert mpv.mlp_b2.grad[0] == pytest.approx(s * (1 - s), rel=1e-12)
