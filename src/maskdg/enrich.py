@@ -96,10 +96,12 @@ def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
     sim[:, norms == 0] = 0.0
     np.fill_diagonal(sim, -np.inf)
     kth = np.partition(sim, n - k, axis=1)[:, n - k, None]
-    better = sim > kth
-    ties = sim == kth
+    keep = sim >= kth
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)   # rows to tie-break
+    better = sim[crowded] > kth[crowded]
+    ties = keep[crowded] & ~better
     room = k - better.sum(axis=1, keepdims=True)
-    keep = better | (ties & (np.cumsum(ties, axis=1) <= room))
+    keep[crowded] = better | (ties & (np.cumsum(ties, axis=1) <= room))
     src, cols = np.nonzero(keep)               # k per row, row-major
     neg_sim = -sim[src, cols].reshape(n, k)
     cols = cols.reshape(n, k)
@@ -116,7 +118,8 @@ _BLOCK_BYTES = 4 * 2 ** 20
 def _pairwise_sq_distances(X: np.ndarray, Y: Optional[np.ndarray] = None
                            ) -> np.ndarray:
     """(N, M) squared Euclidean distances from the rows of X to those of Y
-    (default X), by direct differences over row blocks of X.
+    (default X), by direct differences over row blocks of X; against X
+    itself over columns j >= i, mirrored: a - b == -(b - a), same bits.
 
     Bit-identical to the one-shot (N, M, d) broadcast, whose temporary the
     blocks bound to _BLOCK_BYTES. The Gram form |x|^2 + |y|^2 - 2x.y is
@@ -127,8 +130,11 @@ def _pairwise_sq_distances(X: np.ndarray, Y: Optional[np.ndarray] = None
     out = np.empty((X.shape[0], Y.shape[0]))
     rows = max(1, _BLOCK_BYTES // (8 * Y.shape[0] * max(X.shape[1], 1)))
     for i in range(0, X.shape[0], rows):
-        out[i:i + rows] = ((X[i:i + rows, None, :] - Y[None, :, :]) ** 2
-                           ).sum(axis=2)
+        j = i if Y is X else 0
+        out[i:i + rows, j:] = ((X[i:i + rows, None, :] - Y[None, j:, :]) ** 2
+                               ).sum(axis=2)
+        if Y is X:
+            out[i + rows:, i:i + rows] = out[i:i + rows, i + rows:].T
     return out
 
 

@@ -105,10 +105,13 @@ def tie_heavy_features(kind, seed=0):
         X = g.normal(size=(23, 4))
         X[g.random(23) < 0.4] = 0.0
         return X
+    if kind == "constant":       # every similarity is exactly 1.0
+        return np.full((23, 4), 2.0)
     return g.integers(-1, 2, size=(23, 3)).astype(float)   # integer-valued
 
 
-@pytest.mark.parametrize("kind", ["duplicates", "zero_rows", "integers"])
+@pytest.mark.parametrize("kind", ["duplicates", "zero_rows", "integers",
+                                  "constant"])
 @pytest.mark.parametrize("k", [1, 3, 22])
 def test_knn_top_k_is_bit_identical_to_the_full_sort(kind, k):
     X = tie_heavy_features(kind)
@@ -119,8 +122,10 @@ def broadcast_sq(X, Y):
     return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
 
 
-@pytest.mark.parametrize("rows", [3, 10, 16])   # N = 10: not a multiple,
-def test_blocked_distances_match_the_broadcast(monkeypatch, rows):  # equal, below
+# Rows per block at N = 10: one (every block is mirrored), not a multiple,
+# equal, more.
+@pytest.mark.parametrize("rows", [1, 3, 10, 16])
+def test_blocked_distances_match_the_broadcast(monkeypatch, rows):
     X = np.random.default_rng(rows).normal(size=(10, 4))
     Y = X[:7] * 1.5
     monkeypatch.setattr(enrich_mod, "_BLOCK_BYTES", rows * 8 * 10 * 4)

@@ -149,6 +149,48 @@ def test_coalesce_survivor_has_max_precedence(items):
     assert len(survivors) == len({(u, v) for u, v, _ in items})
 
 
+def lexsort_coalesce(edges):
+    """The 3-key lexsort coalesce replaced: the reference for its output,
+    array and order."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    if edges.shape[0] == 0:
+        return edges
+    edges = edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))]
+    keep = np.ones(edges.shape[0], dtype=bool)
+    keep[1:] = (edges[1:, 0] != edges[:-1, 0]) | (edges[1:, 1] != edges[:-1, 1])
+    return edges[keep]
+
+
+@st.composite
+def unsorted_edges_with_repeats(draw):
+    ids = st.one_of(st.integers(0, 5), st.integers(0, 2 ** 20))
+    rows = draw(st.lists(st.tuples(ids, ids, st.sampled_from(list(EdgeOrigin))),
+                         min_size=1, max_size=40))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+    return draw(st.permutations(rows + [rows[i] for i in repeats]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unsorted_edges_with_repeats())
+def test_coalesce_equals_the_lexsort_reference(items):
+    edges = np.array([(u, v, int(o)) for u, v, o in items], dtype=np.int64)
+    got = coalesce(edges)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, lexsort_coalesce(edges))
+
+
+def test_coalesce_key_fills_int64_exactly_and_rejects_one_more_id():
+    # spans 2**32 * 2**31 * 1 = 2**63: the largest key is 2**63 - 1
+    fits = make_edges([(2 ** 32 - 1, 2 ** 31 - 1), (0, 0), (2 ** 32 - 1, 0)],
+                      EdgeOrigin.KNN)
+    np.testing.assert_array_equal(coalesce(fits), lexsort_coalesce(fits))
+    shifted = make_edges([(-5, 7), (2 ** 32 - 6, 2 ** 31 + 6)], EdgeOrigin.KNN)
+    np.testing.assert_array_equal(coalesce(shifted), lexsort_coalesce(shifted))
+    for pairs in ([(2 ** 32, 2 ** 31 - 1), (0, 0)], [(0, 0), (2 ** 40, 2 ** 40)]):
+        with pytest.raises(ValueError, match="int64 key"):
+            coalesce(make_edges(pairs, EdgeOrigin.ORIGINAL))
+
+
 def random_graph(seed=0, n=6):
     rng = np.random.default_rng(seed)
     pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(10, 2))
