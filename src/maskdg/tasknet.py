@@ -121,9 +121,8 @@ class EdgeSegments:
     `take`: `x[..., idx]` would return an edge-major array behind an
     (..., H, F, E) view, and every later reduction would run strided.
 
-    `src_order` is the stable order of the sorted edges by source, and
-    `dst_by_src` their destinations in that order; `sum_by_src` reduces
-    values laid out in that order per source node.
+    `src_order` is the stable order of the sorted edges by source;
+    `sum_by_src` reduces values laid out in that order per source node.
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -141,7 +140,6 @@ class EdgeSegments:
         self.num_nodes = num_nodes
         out_deg = np.bincount(self.src, minlength=num_nodes)
         self.src_order = ad.stable_order(self.src, num_nodes)
-        self.dst_by_src = self.dst[self.src_order]
         self._src_rows = np.flatnonzero(out_deg)      # nodes with out-edges
         self._src_starts = (np.cumsum(out_deg) - out_deg)[self._src_rows]
         self.first = 0
@@ -265,8 +263,13 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     def vjp(g):
         g = g.T * (1.0 / H) if final else g.T.reshape(agg.shape)
         g_agg = g * dact                                      # (H, d_h, N)
+        # The messages' sources are gathered again rather than kept on the
+        # tape: only node tensors and (H, 1, E) factors outlive the forward.
         g_msg = take(g_agg, seg.dst)                          # (H, d_h, E)
-        g_coef = (g_msg * z_src).sum(axis=-2, keepdims=True)  # (H, 1, E)
+        prod = take(z, seg.src)
+        prod *= g_msg
+        g_coef = prod.sum(axis=-2, keepdims=True)             # (H, 1, E)
+        del prod
         g_alpha = g_coef * m * drop
         g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
         g_raw = alpha * (g_alpha - g_shift) * slope
@@ -277,13 +280,13 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
             grads.append((mask, g_m))
         if not (want_params or h.requires_grad):
             return grads
-        # Edge terms summed by source, gathered straight into source order
-        # rather than permuting the (H, d_h, E) product.
+        # Edge terms summed by source; the message gradient is scaled in
+        # place and gathered into source order once.
         order = seg.src_order
         g_s = np.concatenate([seg.sum_by_src(take(g_raw, order)),
                               seg.sum(g_raw)], axis=-2)       # (H, 2, N)
-        g_z = (seg.sum_by_src(take(g_agg, seg.dst_by_src)
-                              * take(coef, order))
+        g_msg *= coef
+        g_z = (seg.sum_by_src(take(g_msg, order))
                + np.swapaxes(P, 1, 2) @ g_s).reshape(H * d_h, -1)
         if h.requires_grad:
             grads.append((h, g_z.T @ W))

@@ -63,15 +63,6 @@ def surrogate_optimal_mask(prob: SurrogateProblem):
     return s_star, value
 
 
-def surrogate_dual_value(prob: SurrogateProblem, lam: float) -> float:
-    """Analytic dual of the budgeted surrogate:
-    base + lam * rho + sum_e max(c_e - lam/m, 0)."""
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
-    return prob.base_loss + lam * prob.rho + float(
-        np.maximum(prob.c - lam / prob.m, 0.0).sum())
-
-
 def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION,
                    chunk: int = 200_000):
     """Yield chunks of the full grid {0, resolution, ..., 1}^m."""

@@ -1,3 +1,6 @@
+import contextlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +38,119 @@ def test_one_seed_has_zero_spread():
 def test_tag_must_be_a_file_name(tag):
     with pytest.raises(SystemExit):
         bench_record.parse_args(["--tag", tag, "--seeds", "1"])
+
+
+# -- --against REV: alternating pairs ------------------------------------------
+
+WORKLOADS = ("dg_2x2", "citation_eval", "duality_grid")
+
+
+def timed(run_s, reference_s, rss=50.0):
+    run = run_result(run_s=run_s, setup_s=0.01)
+    run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    run.update(attempted=3, failed=0, reference_s=[reference_s],
+               envs=[{"numpy": "x"}])
+    return run
+
+
+def test_compare_counts_wins_and_ratio_of_medians():
+    pairs = [(timed(a, 0.03, 50.0), timed(b, 0.031, r))
+             for a, b, r in ((1.0, 0.8, 50.0), (1.2, 0.9, 49.0),
+                             (0.9, 1.0, 51.0), (1.1, 1.1, 50.0))]
+    out = bench_record.compare(pairs, {"run_s": "lower",
+                                       "peak_rss_mb": "lower"})
+    run_s = out["metrics"]["run_s"]
+    assert out["pairs"] == 4
+    assert run_s["wins"] == 2                     # the tie counts for neither
+    assert run_s["against"]["median"] == 1.05
+    assert run_s["change"]["median"] == 0.95
+    assert run_s["ratio_of_medians"] == 0.95 / 1.05
+    assert out["metrics"]["peak_rss_mb"]["wins"] == 1
+    assert out["reference_s"]["against"]["median"] == 0.03
+    assert out["reference_s"]["change"]["median"] == 0.031
+    higher = bench_record.compare(pairs, {"run_s": "higher"})
+    assert higher["metrics"]["run_s"]["wins"] == 1
+
+
+def test_reference_time_is_read_from_the_printed_figures():
+    line = f"  {'reference_s':18s} {0.0312345:14.6g} {'s':6s} median"
+    assert bench_record.REFERENCE_LINE.match(line).group(1) == "0.0312345"
+    assert not bench_record.REFERENCE_LINE.match("  run_s   0.2 s")
+
+
+def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
+    other = tmp_path / "rev"
+    calls = []
+
+    def fake_run(seed, trace, root=bench_record.ROOT, workload="all",
+                 seconds=None):
+        calls.append((seed, trace, "rev" if root == other else "tree",
+                      workload, seconds))
+        if trace:
+            return {"attempted": 1, "failed": 0, "envs": [{"numpy": "x"}],
+                    "metrics": {f"{w}.a.calls": {"value": 2.0,
+                                                  "unit": "count"}
+                                for w in WORKLOADS}}
+        return timed(1.0 if root == other else 0.8,
+                     0.03 if root == other else 0.032)
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_bench", fake_run)
+    monkeypatch.setattr(bench_record, "extract",
+                        lambda rev, dest: (other.mkdir(), "c0ffee")[1])
+    monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
+                        lambda: contextlib.nullcontext(str(other)))
+    monkeypatch.setattr(bench_record, "benchmark", lambda: {
+        "workloads": [{"name": w} for w in WORKLOADS],
+        "end_to_end": [{"name": m, "better": "lower"}
+                       for m in ("setup_s", "run_s", "peak_rss_mb")]})
+    assert bench_record.main(["--tag", "t", "--seeds", "4", "5",
+                              "--against", "HEAD~1", "--seconds", "2"]) == 0
+    untraced = [c for c in calls if c[1] == 0]
+    assert [c[2] for c in untraced[:2]] == ["rev", "tree"]        # seed 4
+    assert [c[2] for c in untraced[6:8]] == ["tree", "rev"]       # seed 5
+    assert {c[3] for c in untraced} == set(WORKLOADS)
+    assert [c[:3] for c in calls if c[1] == 1] == [(4, 1, "tree"),
+                                                    (5, 1, "tree")]
+    assert all(c[4] == 2.0 for c in calls)
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    ab = record["against"]
+    assert (ab["rev"], ab["commit"]) == ("HEAD~1", "c0ffee")
+    run_s = ab["workloads"]["dg_2x2"]["metrics"]["run_s"]
+    assert (run_s["wins"], run_s["ratio_of_medians"]) == (2, 0.8)
+    assert ab["workloads"]["citation_eval"]["reference_s"]["change"][
+        "median"] == 0.032
+    # the end-to-end summary is the working tree's side of the pairs
+    e2e = record["workloads"]["duality_grid"]["end_to_end"]
+    assert e2e["run_s"]["values"] == [0.8, 0.8]
+    assert record["workloads"]["dg_2x2"]["per_layer"]["a.calls"][
+        "median"] == 2.0
+    assert record["attempted"] == 2 * 3 * 2 * 3 + 2
+
+
+def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    (repo / "a.txt").write_text("two\n")             # not committed
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    dest = tmp_path / "out"
+    commit = bench_record.extract("HEAD", dest)
+    assert len(commit) == 40
+    assert (dest / "a.txt").read_text() == "one\n"
+    with pytest.raises(bench_record.RunError):
+        bench_record.extract("no-such-rev", tmp_path / "none")
+
+
+def test_benchmark_spec_gives_workloads_and_directions():
+    spec = bench_record.benchmark()
+    assert tuple(w["name"] for w in spec["workloads"]) == WORKLOADS
+    assert {m["better"] for m in spec["end_to_end"]} <= {"lower", "higher"}

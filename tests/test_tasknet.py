@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,7 +355,6 @@ def test_source_scatter_matches_add_at_and_sum_rows():
     out = seg.sum_by_src(seg.take(x, seg.src_order))
     np.testing.assert_array_equal(out, ref)
     assert not out[..., 5].any()                 # no out-edges: zeros
-    np.testing.assert_array_equal(seg.dst_by_src, seg.dst[seg.src_order])
     # On general floats it adds in the order of the row-wise sum_rows.
     x = r.normal(size=(2, 3, E)) * np.exp(r.normal(size=E) * 4)
     rows = ad.sum_rows(x.reshape(-1, E).T, seg.src, n)
@@ -509,6 +510,62 @@ def test_forward_with_prebuilt_segments_equals_forward_without():
         np.testing.assert_array_equal(got, want)
         for name in want_grads:
             np.testing.assert_array_equal(got_grads[name], want_grads[name])
+
+
+# -- what the tape keeps -----------------------------------------------------------
+
+def test_taped_step_keeps_no_message_tensor_on_the_tape():
+    # A (H, d_h, E) tensor costs E * H * d_h * 8 bytes; the step needs two
+    # at a time (a gather and its product) and may keep none on the tape.
+    # About 30 edges per node keep the node tensors small beside them.
+    cfg = TaskNetConfig(layers=2, heads=4, head_dim=64,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    r = np.random.default_rng(12)
+    n = 400
+    pairs = {(int(s), int(d)) for s, d in r.integers(0, n, size=(12_000, 2))
+             if s != d}
+    edges = graph_with_loops(sorted(pairs), n)
+    E = edges.shape[0]
+    assert E >= 10_000
+    p = small_params(16, 3, cfg, seed=1)
+    X, labels = r.normal(size=(n, 16)), r.integers(0, 3, size=n)
+    mask, seg = r.uniform(size=E), EdgeSegments(edges, n)
+    tracemalloc.start()
+    try:
+        grad_tasknet(p, X, edges, mask, labels, cfg, seg=seg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * E * cfg.heads * cfg.head_dim * 8
+
+
+def test_backward_twice_gives_the_same_bits_and_leaves_the_forward_intact():
+    # The VJP scales one of its buffers in place; the tensors it captured
+    # from the forward must come out of a sweep unchanged.
+    edges, n = scatter_graph()
+    r = np.random.default_rng(13)
+    H, d_h = 3, 2
+    heads = [HeadParams(ad.param(r.normal(size=(d_h, 4))),
+                        ad.param(r.normal(size=2 * d_h + 1)),
+                        ad.param(r.normal(size=1))) for _ in range(H)]
+    x = ad.param(r.normal(size=(n, 4)))
+    mask = ad.param(r.uniform(size=edges.shape[0]))
+    keep = ad.dropout_keep(np.random.default_rng(2), (H, edges.shape[0]), 0.3)
+    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), "elu", False,
+                    keep)
+    cells = dict(zip(out._vjp.__code__.co_freevars,
+                     (c.cell_contents for c in out._vjp.__closure__)))
+    forward = {k: cells[k].copy() for k in ("alpha", "coef", "z")}
+    leaves = [x, mask] + [v for hp in heads for v in (hp.W, hp.a, hp.w)]
+    seed = r.normal(size=out.data.shape)
+    sweeps = []
+    for _ in range(2):
+        out.backward(seed)
+        sweeps.append([v.grad.copy() for v in leaves])
+    for first, second in zip(*sweeps):
+        np.testing.assert_array_equal(first, second)
+    for k, before in forward.items():
+        np.testing.assert_array_equal(cells[k], before)
 
 
 # -- non-finite values --------------------------------------------------------------

@@ -10,7 +10,6 @@ from maskdg.theory import (
     iter_mask_grid,
     kkt_check,
     masknet_gradient_identity,
-    surrogate_dual_value,
     surrogate_kkt_instance,
     surrogate_optimal_mask,
     tasknet_mask_loss_fn,
@@ -111,6 +110,13 @@ def test_negative_multiplier_rejected():
 
 
 # -- strong duality on the surrogate --------------------------------------------
+
+def surrogate_dual_value(prob: SurrogateProblem, lam: float) -> float:
+    """Analytic dual of the budgeted surrogate:
+    base + lam * rho + sum_e max(c_e - lam/m, 0), for lam >= 0."""
+    return prob.base_loss + lam * prob.rho + float(
+        np.maximum(prob.c - lam / prob.m, 0.0).sum())
+
 
 @pytest.mark.parametrize("seed", range(5))
 def test_surrogate_strong_duality_at_breakpoints(seed):

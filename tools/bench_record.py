@@ -1,6 +1,7 @@
 """Record the benchmark over several seeds into BENCH_<tag>.json.
 
     python3 tools/bench_record.py --tag baseline --seeds 1 2 3
+    python3 tools/bench_record.py --tag ab --seeds 101 102 --against HEAD
 
 Run from anywhere; the benchmark runs from the repository root. For each
 seed it runs `perfbench/run.py --workload all` twice: with `--trace 0` for
@@ -11,34 +12,55 @@ workload and metric the median across seeds, the quartiles and their
 distance (IQR), the per-seed values, the seeds and the environment (numpy,
 BLAS and its thread count, cores).
 
+`--against REV` also measures the committed files of REV, extracted by
+`git archive` into a temporary directory, against the working tree. For
+each seed and workload it runs one untraced pair, REV and working tree
+each with its own `perfbench/run.py`, the side that runs first alternating
+from pair to pair; the end-to-end summary then comes from the working
+tree's side of these pairs. The record gains an "against" entry: per
+workload and end-to-end metric, the median and quartiles of each side, the
+pairs the working tree wins (ties count for neither) and the ratio of its
+median to REV's, and each side's median reference kernel time, so that a
+claimed gain can be told from a change of the time scale. Pick seeds not
+used while the change was built.
+
 Exit codes: 0 when every run passed its checks, 1 when a run failed one,
-2 when a run printed no result or the runs disagree on the environment.
+2 when a run printed no result, the runs disagree on the environment or
+REV cannot be extracted.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_LINE = re.compile(r"^\s+reference_s\s+(\S+)")
 
 
 class RunError(Exception):
     pass
 
 
-def run_bench(seed: int, trace: int) -> dict:
-    """One `--workload all` run: its result JSON, with the environments its
-    workloads printed under "envs"."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
-           "--workload", "all", "--seed", str(seed), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+def run_bench(seed: int, trace: int, root: Path = ROOT,
+              workload: str = "all", seconds: Optional[float] = None) -> dict:
+    """One run of `root`'s benchmark: its result JSON, with the environments
+    its workloads printed under "envs" and their median reference kernel
+    times under "reference_s"."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.splitlines()
     try:
@@ -50,6 +72,10 @@ def run_bench(seed: int, trace: int) -> dict:
                       if line.startswith("env ")]
     if not result["envs"]:
         raise RunError(f"{' '.join(cmd[1:])} printed no environment")
+    result["reference_s"] = [float(m.group(1)) for m in
+                             map(REFERENCE_LINE.match, lines) if m]
+    if not result["reference_s"]:
+        raise RunError(f"{' '.join(cmd[1:])} printed no reference_s")
     return result
 
 
@@ -78,6 +104,95 @@ def summarise(plain: List[dict], traced: List[dict]) -> Dict[str, dict]:
     return out
 
 
+def compare(pairs: List[tuple], better: Dict[str, str]) -> dict:
+    """The A/B of one workload from its (REV run, working-tree run) pairs:
+    per end-to-end metric both sides' spreads, the working tree's wins out
+    of the pairs and the ratio of its median to REV's; and each side's
+    reference kernel times."""
+    out = {"pairs": len(pairs), "metrics": {}}
+    for metric, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        base = [a["metrics"][metric]["value"] for a, _ in pairs]
+        new = [b["metrics"][metric]["value"] for _, b in pairs]
+        out["metrics"][metric] = {
+            "unit": pairs[0][0]["metrics"][metric]["unit"],
+            "better": direction,
+            "against": spread(base),
+            "change": spread(new),
+            "wins": sum(sign * (y - x) < 0 for x, y in zip(base, new)),
+            "ratio_of_medians": (statistics.median(new)
+                                 / statistics.median(base)),
+        }
+    out["reference_s"] = {
+        side: spread([run["reference_s"][0] for run in runs])
+        for side, runs in zip(("against", "change"), zip(*pairs))}
+    return out
+
+
+def extract(rev: str, dest: Path) -> str:
+    """Write the files committed at `rev` into `dest`; returns the commit."""
+    def git(*args) -> bytes:
+        proc = subprocess.run(["git", "-C", str(ROOT), *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              check=False)
+        if proc.returncode != 0:
+            raise RunError(f"git {' '.join(args)}: "
+                           f"{proc.stderr.decode().strip()}")
+        return proc.stdout
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def benchmark() -> dict:
+    """BENCHMARK.json: the workloads and each end-to-end metric's better
+    direction."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def ab_runs(seeds: List[int], other: Path, seconds: Optional[float],
+            workloads: List[str]) -> Dict[str, List[tuple]]:
+    """Alternating untraced pairs: per workload, a list of (REV run,
+    working-tree run) in seed order."""
+    pairs: Dict[str, List[tuple]] = {name: [] for name in workloads}
+    for i, seed in enumerate(seeds):
+        for name in workloads:
+            sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
+            runs = {root: run_bench(seed, 0, root, name, seconds)
+                    for root in sides}
+            pairs[name].append((runs[other], runs[ROOT]))
+            print(f"seed {seed} {name}: run_s "
+                  f"{runs[other]['metrics']['run_s']['value']:.4g} against, "
+                  f"{runs[ROOT]['metrics']['run_s']['value']:.4g} change",
+                  flush=True)
+    return pairs
+
+
+def against_rev(rev: str, seeds: List[int], seconds: Optional[float]):
+    """The record's "against" entry and the pairs it summarises."""
+    spec = benchmark()
+    with tempfile.TemporaryDirectory() as tmp:
+        commit = extract(rev, Path(tmp))
+        pairs = ab_runs(seeds, Path(tmp), seconds,
+                        [w["name"] for w in spec["workloads"]])
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {"rev": rev, "commit": commit,
+            "workloads": {name: compare(runs, better)
+                          for name, runs in pairs.items()}}, pairs
+
+
+def merged(pairs: Dict[str, List[tuple]], i: int) -> dict:
+    """The working tree's runs of pair `i` as one `--workload all` result."""
+    runs = [(name, workload[i][1]) for name, workload in pairs.items()]
+    return {"attempted": sum(run["attempted"] for _, run in runs),
+            "failed": sum(run["failed"] for _, run in runs),
+            "envs": [env for _, run in runs for env in run["envs"]],
+            "metrics": {f"{name}.{key}": value for name, run in runs
+                        for key, value in run["metrics"].items()}}
+
+
 def tag(value: str) -> str:
     if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", value):
         raise argparse.ArgumentTypeError(f"not a file-name tag: {value!r}")
@@ -89,35 +204,50 @@ def parse_args(argv=None):
     p.add_argument("--tag", type=tag, required=True,
                    help="names the output file BENCH_<tag>.json")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--against", metavar="REV",
+                   help="also run alternating pairs against this commit")
+    p.add_argument("--seconds", type=float,
+                   help="timed seconds per run (perfbench/run.py's default "
+                        "if not given)")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    plain, traced = [], []
+    plain, traced, others, against = [], [], [], None
     try:
+        if args.against is not None:
+            against, pairs = against_rev(args.against, args.seeds,
+                                         args.seconds)
+            plain = [merged(pairs, i) for i in range(len(args.seeds))]
+            others = [run for runs in pairs.values() for run, _ in runs]
+        # With --against the pairs have measured the end-to-end side.
+        modes = ((1, traced),) if against else ((0, plain), (1, traced))
         for seed in args.seeds:
-            for trace, runs in ((0, plain), (1, traced)):
-                runs.append(run_bench(seed, trace))
+            for trace, runs in modes:
+                runs.append(run_bench(seed, trace, seconds=args.seconds))
                 print(f"seed {seed} trace {trace}: "
                       f"{runs[-1]['failed']} of {runs[-1]['attempted']} "
                       f"iterations failed", flush=True)
-        envs = [env for run in plain + traced for env in run.pop("envs")]
+        runs = plain + traced + others
+        envs = [env for run in runs for env in run.pop("envs")]
         if any(env != envs[0] for env in envs):
             raise RunError(f"runs report different environments: {envs}")
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    runs = plain + traced
     record = {
         "tag": args.tag,
         "command": "perfbench/run.py --workload all --trace 0|1",
         "seeds": args.seeds,
+        "seconds": args.seconds,
         "environment": envs[0],
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "workloads": summarise(plain, traced),
     }
+    if against is not None:
+        record["against"] = against
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
