@@ -17,8 +17,8 @@ def run_result(**values):
 
 
 def test_summary_takes_median_and_quartiles_across_seeds():
-    plain = [run_result(**{"a.run_s": v}) for v in (4.0, 1.0, 3.0, 2.0, 5.0)]
-    traced = [run_result(**{"a.x.calls": 6.0}) for _ in range(5)]
+    plain = {"a": [run_result(run_s=v) for v in (4.0, 1.0, 3.0, 2.0, 5.0)]}
+    traced = {"a": [run_result(**{"x.calls": 6.0}) for _ in range(5)]}
     summary = bench_record.summarise(plain, traced)
     run_s = summary["a"]["end_to_end"]["run_s"]
     assert run_s["median"] == 3.0
@@ -78,44 +78,65 @@ def test_reference_time_is_read_from_the_printed_figures():
     assert not bench_record.REFERENCE_LINE.match("  run_s   0.2 s")
 
 
-def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
-    other = tmp_path / "rev"
+def fake_bench(monkeypatch, tmp_path, other):
+    """Fakes the benchmark's runs (REV's at `other` slower than the working
+    tree's) and BENCHMARK.json; returns the list the runs are logged to."""
     calls = []
 
-    def fake_run(seed, trace, root=bench_record.ROOT, workload="all",
-                 seconds=None):
-        calls.append((seed, trace, "rev" if root == other else "tree",
-                      workload, seconds))
+    def fake_run(root, workload, seed, trace, seconds):
+        side = "rev" if root == other else "tree"
+        calls.append((seed, trace, side, workload, seconds))
         if trace:
             return {"attempted": 1, "failed": 0, "envs": [{"numpy": "x"}],
-                    "metrics": {f"{w}.a.calls": {"value": 2.0,
-                                                  "unit": "count"}
-                                for w in WORKLOADS}}
-        return timed(1.0 if root == other else 0.8,
-                     0.03 if root == other else 0.032)
+                    "metrics": {"a.calls": {"value": 2.0, "unit": "count"}}}
+        return timed(1.0 if side == "rev" else 0.8,
+                     0.03 if side == "rev" else 0.032)
 
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_bench", fake_run)
+    monkeypatch.setattr(bench_record, "benchmark", lambda: {
+        "run_seconds": 2,
+        "workloads": [{"name": w} for w in WORKLOADS],
+        "end_to_end": [{"name": m, "better": "lower"}
+                       for m in ("setup_s", "run_s", "peak_rss_mb")]})
+    return calls
+
+
+def test_record_runs_each_workload_at_the_benchmark_length(tmp_path,
+                                                           monkeypatch):
+    calls = fake_bench(monkeypatch, tmp_path, None)
+    assert bench_record.main(["--tag", "t", "--seeds", "4", "5"]) == 0
+    assert calls == [(seed, trace, "tree", w, 2) for seed in (4, 5)
+                     for w in WORKLOADS for trace in (0, 1)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert "against" not in record
+    assert record["seconds"] == 2
+    assert "--seconds 2 --trace 0|1" in record["command"]
+    e2e = record["workloads"]["citation_eval"]["end_to_end"]
+    assert e2e["run_s"]["values"] == [0.8, 0.8]
+    assert record["attempted"] == 2 * 3 * (3 + 1)
+
+
+def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
+    other = tmp_path / "rev"
+    calls = fake_bench(monkeypatch, tmp_path, other)
     monkeypatch.setattr(bench_record, "extract",
                         lambda rev, dest: (other.mkdir(), "c0ffee")[1])
     monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
                         lambda: contextlib.nullcontext(str(other)))
-    monkeypatch.setattr(bench_record, "benchmark", lambda: {
-        "workloads": [{"name": w} for w in WORKLOADS],
-        "end_to_end": [{"name": m, "better": "lower"}
-                       for m in ("setup_s", "run_s", "peak_rss_mb")]})
     assert bench_record.main(["--tag", "t", "--seeds", "4", "5",
-                              "--against", "HEAD~1", "--seconds", "2"]) == 0
+                              "--against", "HEAD~1"]) == 0
     untraced = [c for c in calls if c[1] == 0]
     assert [c[2] for c in untraced[:2]] == ["rev", "tree"]        # seed 4
     assert [c[2] for c in untraced[6:8]] == ["tree", "rev"]       # seed 5
     assert {c[3] for c in untraced} == set(WORKLOADS)
-    assert [c[:3] for c in calls if c[1] == 1] == [(4, 1, "tree"),
-                                                    (5, 1, "tree")]
-    assert all(c[4] == 2.0 for c in calls)
+    assert [c[:3] for c in calls if c[1] == 1] == \
+        [(seed, 1, "tree") for seed in (4, 5) for _ in WORKLOADS]
+    assert all(c[4] == 2 for c in calls)
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     ab = record["against"]
     assert (ab["rev"], ab["commit"]) == ("HEAD~1", "c0ffee")
+    assert "--seconds 2 --trace 0 from REV" in ab["command"]
     run_s = ab["workloads"]["dg_2x2"]["metrics"]["run_s"]
     assert (run_s["wins"], run_s["ratio_of_medians"]) == (2, 0.8)
     assert ab["workloads"]["citation_eval"]["reference_s"]["change"][
@@ -125,7 +146,7 @@ def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
     assert e2e["run_s"]["values"] == [0.8, 0.8]
     assert record["workloads"]["dg_2x2"]["per_layer"]["a.calls"][
         "median"] == 2.0
-    assert record["attempted"] == 2 * 3 * 2 * 3 + 2
+    assert record["attempted"] == 2 * 3 * (2 * 3 + 1)
 
 
 def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
@@ -148,6 +169,10 @@ def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
     assert (dest / "a.txt").read_text() == "one\n"
     with pytest.raises(bench_record.RunError):
         bench_record.extract("no-such-rev", tmp_path / "none")
+    # releases before 3.10.12 / 3.11.4 have no extraction filters
+    monkeypatch.delattr(bench_record.tarfile, "data_filter")
+    bench_record.extract("HEAD", tmp_path / "old")
+    assert (tmp_path / "old" / "a.txt").read_text() == "one\n"
 
 
 def test_benchmark_spec_gives_workloads_and_directions():

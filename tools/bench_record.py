@@ -3,26 +3,26 @@
     python3 tools/bench_record.py --tag baseline --seeds 1 2 3
     python3 tools/bench_record.py --tag ab --seeds 101 102 --against HEAD
 
-Run from anywhere; the benchmark runs from the repository root. For each
-seed it runs `perfbench/run.py --workload all` twice: with `--trace 0` for
-the end-to-end metrics, measured with tracing off, and with `--trace 1` for
+Run from anywhere; the benchmark runs from the repository root, for the
+`run_seconds` that BENCHMARK.json sets. For each seed and workload it runs
+`perfbench/run.py --workload <name>` twice: with `--trace 0` for the
+end-to-end metrics, measured with tracing off, and with `--trace 1` for
 the per-layer metrics. It reads each run's last-line JSON and its `env`
 lines, and writes BENCH_<tag>.json at the repository root: for every
 workload and metric the median across seeds, the quartiles and their
-distance (IQR), the per-seed values, the seeds and the environment (numpy,
-BLAS and its thread count, cores).
+distance (IQR), the per-seed values, the seeds, the commands and the
+environment (numpy, BLAS and its thread count, cores).
 
 `--against REV` also measures the committed files of REV, extracted by
-`git archive` into a temporary directory, against the working tree. For
-each seed and workload it runs one untraced pair, REV and working tree
-each with its own `perfbench/run.py`, the side that runs first alternating
-from pair to pair; the end-to-end summary then comes from the working
-tree's side of these pairs. The record gains an "against" entry: per
-workload and end-to-end metric, the median and quartiles of each side, the
-pairs the working tree wins (ties count for neither) and the ratio of its
-median to REV's, and each side's median reference kernel time, so that a
-claimed gain can be told from a change of the time scale. Pick seeds not
-used while the change was built.
+`git archive` into a temporary directory, against the working tree: each
+untraced run becomes a pair, REV and working tree each with its own
+`perfbench/run.py`, the side that runs first alternating from seed to
+seed. The record gains an "against" entry: per workload and end-to-end
+metric, the median and quartiles of each side, the pairs the working tree
+wins (ties count for neither) and the ratio of its median to REV's, and
+each side's median reference kernel time, so that a claimed gain can be
+told from a change of the time scale. Pick seeds not used while the
+change was built.
 
 Exit codes: 0 when every run passed its checks, 1 when a run failed one,
 2 when a run printed no result, the runs disagree on the environment or
@@ -41,7 +41,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LINE = re.compile(r"^\s+reference_s\s+(\S+)")
@@ -51,15 +51,14 @@ class RunError(Exception):
     pass
 
 
-def run_bench(seed: int, trace: int, root: Path = ROOT,
-              workload: str = "all", seconds: Optional[float] = None) -> dict:
-    """One run of `root`'s benchmark: its result JSON, with the environments
-    its workloads printed under "envs" and their median reference kernel
-    times under "reference_s"."""
+def run_bench(root: Path, workload: str, seed: int, trace: int,
+              seconds: float) -> dict:
+    """One run of `root`'s benchmark: its result JSON, with the environment
+    it printed under "envs" and its median reference kernel time under
+    "reference_s"."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.splitlines()
@@ -89,18 +88,20 @@ def spread(values: List[float]) -> dict:
             "iqr": q3 - q1, "values": values}
 
 
-def summarise(plain: List[dict], traced: List[dict]) -> Dict[str, dict]:
+def summarise(plain: Dict[str, List[dict]],
+              traced: Dict[str, List[dict]]) -> Dict[str, dict]:
     """Per workload, {"end_to_end": {...}, "per_layer": {...}}, each metric
-    summarised across seeds (runs in seed order)."""
+    summarised across that workload's runs (in seed order)."""
     out: Dict[str, dict] = {}
-    for level, runs in (("end_to_end", plain), ("per_layer", traced)):
-        for key in runs[0]["metrics"]:
-            workload, metric = key.split(".", 1)
-            values = [run["metrics"][key]["value"] for run in runs]
-            figure = spread(values)
-            figure["unit"] = runs[0]["metrics"][key]["unit"]
-            out.setdefault(workload, {"end_to_end": {}, "per_layer": {}})
-            out[workload][level][metric] = figure
+    for level, by_workload in (("end_to_end", plain), ("per_layer", traced)):
+        for workload, runs in by_workload.items():
+            figures = out.setdefault(workload,
+                                     {"end_to_end": {}, "per_layer": {}})
+            for metric, first in runs[0]["metrics"].items():
+                figure = spread([run["metrics"][metric]["value"]
+                                 for run in runs])
+                figure["unit"] = first["unit"]
+                figures[level][metric] = figure
     return out
 
 
@@ -141,56 +142,18 @@ def extract(rev: str, dest: Path) -> str:
         return proc.stdout
 
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    # The "data" filter exists from Python 3.10.12 and 3.11.4 on; older
+    # releases extract git's own archive unfiltered.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
     return commit
 
 
 def benchmark() -> dict:
-    """BENCHMARK.json: the workloads and each end-to-end metric's better
-    direction."""
+    """BENCHMARK.json: the workloads, the run length and each end-to-end
+    metric's better direction."""
     return json.loads((ROOT / "BENCHMARK.json").read_text())
-
-
-def ab_runs(seeds: List[int], other: Path, seconds: Optional[float],
-            workloads: List[str]) -> Dict[str, List[tuple]]:
-    """Alternating untraced pairs: per workload, a list of (REV run,
-    working-tree run) in seed order."""
-    pairs: Dict[str, List[tuple]] = {name: [] for name in workloads}
-    for i, seed in enumerate(seeds):
-        for name in workloads:
-            sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
-            runs = {root: run_bench(seed, 0, root, name, seconds)
-                    for root in sides}
-            pairs[name].append((runs[other], runs[ROOT]))
-            print(f"seed {seed} {name}: run_s "
-                  f"{runs[other]['metrics']['run_s']['value']:.4g} against, "
-                  f"{runs[ROOT]['metrics']['run_s']['value']:.4g} change",
-                  flush=True)
-    return pairs
-
-
-def against_rev(rev: str, seeds: List[int], seconds: Optional[float]):
-    """The record's "against" entry and the pairs it summarises."""
-    spec = benchmark()
-    with tempfile.TemporaryDirectory() as tmp:
-        commit = extract(rev, Path(tmp))
-        pairs = ab_runs(seeds, Path(tmp), seconds,
-                        [w["name"] for w in spec["workloads"]])
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    return {"rev": rev, "commit": commit,
-            "workloads": {name: compare(runs, better)
-                          for name, runs in pairs.items()}}, pairs
-
-
-def merged(pairs: Dict[str, List[tuple]], i: int) -> dict:
-    """The working tree's runs of pair `i` as one `--workload all` result."""
-    runs = [(name, workload[i][1]) for name, workload in pairs.items()]
-    return {"attempted": sum(run["attempted"] for _, run in runs),
-            "failed": sum(run["failed"] for _, run in runs),
-            "envs": [env for _, run in runs for env in run["envs"]],
-            "metrics": {f"{name}.{key}": value for name, run in runs
-                        for key, value in run["metrics"].items()}}
 
 
 def tag(value: str) -> str:
@@ -206,48 +169,63 @@ def parse_args(argv=None):
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--against", metavar="REV",
                    help="also run alternating pairs against this commit")
-    p.add_argument("--seconds", type=float,
-                   help="timed seconds per run (perfbench/run.py's default "
-                        "if not given)")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    plain, traced, others, against = [], [], [], None
+    spec = benchmark()
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    plain, traced, others = ({name: [] for name in names} for _ in range(3))
+    commit = None
     try:
-        if args.against is not None:
-            against, pairs = against_rev(args.against, args.seeds,
-                                         args.seconds)
-            plain = [merged(pairs, i) for i in range(len(args.seeds))]
-            others = [run for runs in pairs.values() for run, _ in runs]
-        # With --against the pairs have measured the end-to-end side.
-        modes = ((1, traced),) if against else ((0, plain), (1, traced))
-        for seed in args.seeds:
-            for trace, runs in modes:
-                runs.append(run_bench(seed, trace, seconds=args.seconds))
-                print(f"seed {seed} trace {trace}: "
-                      f"{runs[-1]['failed']} of {runs[-1]['attempted']} "
-                      f"iterations failed", flush=True)
-        runs = plain + traced + others
+        with tempfile.TemporaryDirectory() as tmp:
+            if args.against is not None:
+                commit = extract(args.against, Path(tmp))
+            sides = [ROOT] if commit is None else [Path(tmp), ROOT]
+            for i, seed in enumerate(args.seeds):
+                for name in names:
+                    for root in sides if i % 2 == 0 else sides[::-1]:
+                        run = run_bench(root, name, seed, 0, seconds)
+                        (plain if root == ROOT else others)[name].append(run)
+                    traced[name].append(run_bench(ROOT, name, seed, 1,
+                                                  seconds))
+                    line = f"seed {seed} {name}: run_s " + ", ".join(
+                        f"{side[name][-1]['metrics']['run_s']['value']:.4g}"
+                        f" {label}" for side, label in
+                        ((others, "against"), (plain, "change"))
+                        if side[name])
+                    print(line, flush=True)
+        runs = [run for side in (plain, traced, others)
+                for workload in side.values() for run in workload]
         envs = [env for run in runs for env in run.pop("envs")]
         if any(env != envs[0] for env in envs):
             raise RunError(f"runs report different environments: {envs}")
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    each = (f"perfbench/run.py --workload <workload> --seed <seed> "
+            f"--seconds {seconds}")
     record = {
         "tag": args.tag,
-        "command": "perfbench/run.py --workload all --trace 0|1",
+        "command": f"{each} --trace 0|1, for each seed and workload",
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "environment": envs[0],
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "workloads": summarise(plain, traced),
     }
-    if against is not None:
-        record["against"] = against
+    if commit is not None:
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        record["against"] = {
+            "rev": args.against, "commit": commit,
+            "command": f"{each} --trace 0 from REV's files and from the "
+                       f"working tree, for each seed and workload, REV "
+                       f"first for the 1st, 3rd, ... seed",
+            "workloads": {name: compare(list(zip(others[name], plain[name])),
+                                        better) for name in names}}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
