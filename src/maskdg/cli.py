@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .enrich import EnrichConfig, enrich
+from .enrich import EnrichConfig, Enricher
 from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
                     load_dataset, load_graph, save_graph, write_atomic)
 from .masknet import dump_mask_csv, mask_forward
@@ -33,7 +33,7 @@ from .tasknet import TaskNetConfig
 from .training import (TrainConfig, TrainedModel, ablate_2x2, ablate_lambda,
                        config_from_dict, config_to_dict, evaluate,
                        inference_graph, load_checkpoint, mask_statistics,
-                       save_checkpoint, train)
+                       save_checkpoint, train, typed_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,8 +105,11 @@ def _config_overrides(args, data: dict) -> None:
                 from None
 
 
-def resolve_train_config(args) -> TrainConfig:
-    data = config_to_dict(TrainConfig())
+def resolve_config(args, cls=TrainConfig):
+    """The run's `cls` config: its defaults, updated from the --config file
+    where the subcommand takes one, then from the flags; each value checked
+    as a checkpoint's stored config is."""
+    data = dataclasses.asdict(cls())
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -120,7 +123,8 @@ def resolve_train_config(args) -> TrainConfig:
         data.update(loaded)
     _config_overrides(args, data)
     try:
-        return config_from_dict(data)
+        return (config_from_dict(data) if cls is TrainConfig
+                else typed_config(cls, data))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 
@@ -208,12 +212,7 @@ class RunContext:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    data = dataclasses.asdict(SynthConfig())
-    _config_overrides(args, data)
-    try:
-        cfg = SynthConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth settings: {exc}") from None
+    cfg = resolve_config(args, SynthConfig)
     ctx = RunContext(args.out, "synth", dataclasses.asdict(cfg), cfg.seed)
     ds = generate(cfg)
     paths = []
@@ -229,17 +228,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_enrich(args) -> int:
-    try:
-        cfg = EnrichConfig(k=args.k, clusters=args.clusters,
-                           gamma_knn=args.gamma_knn, gamma_spec=args.gamma_spec)
-    except ValueError as exc:
-        raise ConfigError(f"bad enrichment settings: {exc}") from None
+    cfg = resolve_config(args, EnrichConfig)
     g = read_graph_arg(args.graph)
     _check_enrichable(cfg, [g])
     ctx = RunContext(args.out, "enrich",
                      {"enrich": dataclasses.asdict(cfg), "graph": args.graph},
                      args.seed)
-    enriched = enrich(g, cfg, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    enriched = Enricher(g, cfg, rng).sample(rng)
     out_graph = Graph(g.features, enriched.enriched_edges, g.labels,
                       g.num_classes, g.domain_id)
     path = ctx.out / "enriched.graph"
@@ -263,7 +259,7 @@ def _load_sources_target(args, cfg: TrainConfig) -> DomainDataset:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_train_config(args)
+    cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
     ctx = RunContext(args.out, "train", config_to_dict(cfg), cfg.seed,
                      artifacts=["model.ckpt", "history.csv", "metrics.json",
@@ -315,7 +311,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate_lambda(args) -> int:
-    cfg = resolve_train_config(args)
+    cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
     try:
         grid = [float(x) for x in args.grid.split(",")]
@@ -340,7 +336,7 @@ def cmd_ablate_lambda(args) -> int:
 
 
 def cmd_ablate_2x2(args) -> int:
-    cfg = resolve_train_config(args)
+    cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
     ctx = RunContext(args.out, "ablate-2x2", config_to_dict(cfg), cfg.seed)
     rows = ablate_2x2(ds, cfg)
@@ -398,10 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("enrich", help="build the feature-enriched graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--clusters", type=int, default=100)
-    p.add_argument("--gamma-knn", type=float, default=0.1)
-    p.add_argument("--gamma-spec", type=float, default=0.1)
+    _add_config_flags(p, EnrichConfig)
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
     p.set_defaults(func=cmd_enrich)

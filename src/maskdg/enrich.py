@@ -26,9 +26,6 @@ class EnrichConfig:
     clusters: int = 100
     gamma_knn: float = 0.1
     gamma_spec: float = 0.1
-    kernel_bandwidth: object = "median"   # "median" or a positive float
-    add_self_loops: bool = True
-    solver_cap: int = LAPLACIAN_CAP
 
     def __post_init__(self):
         if self.k < 1:
@@ -39,15 +36,11 @@ class EnrichConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.kernel_bandwidth != "median" and not (
-                isinstance(self.kernel_bandwidth, (int, float))
-                and self.kernel_bandwidth > 0):
-            raise ValueError("kernel_bandwidth must be 'median' or positive")
 
     def check_graph(self, g: Graph) -> None:
         """Raise ValueError unless `g` can be enriched with this config: the
         kNN set needs k < N, the spectral set clusters <= N and N within
-        solver_cap, the cap on its (N, N) Laplacian buffer."""
+        LAPLACIAN_CAP, the cap on its (N, N) Laplacian buffer."""
         n, name = g.num_nodes, g.domain_id
         if self.gamma_knn > 0 and self.k >= n:
             raise ValueError(f"graph {name!r} has {n} nodes; kNN needs "
@@ -55,22 +48,20 @@ class EnrichConfig:
         if self.gamma_spec > 0 and self.clusters > n:
             raise ValueError(f"graph {name!r} has {n} nodes, fewer than "
                              f"the {self.clusters} spectral clusters")
-        if self.gamma_spec > 0 and n > self.solver_cap:
+        if self.gamma_spec > 0 and n > LAPLACIAN_CAP:
             raise ValueError(f"graph {name!r} has {n} nodes, more than the "
-                             f"(N, N) Laplacian cap ({self.solver_cap})")
+                             f"(N, N) Laplacian cap ({LAPLACIAN_CAP})")
 
 
 @dataclass(frozen=True)
 class EnrichedGraph:
     """A graph's edges coalesced with its feature-derived edges.
 
-    Self-loops, when enabled, occupy a contiguous tail (one per node) after
-    the first `num_scorable` rows; they are bookkeeping for attention, not
-    scorable structure.
+    Self-loops occupy a contiguous tail (one per node); they are bookkeeping
+    for attention, not scorable structure.
     """
 
     enriched_edges: np.ndarray
-    num_scorable: int
 
 
 def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
@@ -292,8 +283,7 @@ def _leading_eigenpairs(lap: np.ndarray, clusters: int):
 
 def spectral_edges(X: np.ndarray, clusters: int,
                    bandwidth="median",
-                   rng: Optional[np.random.Generator] = None,
-                   solver_cap: int = LAPLACIAN_CAP) -> np.ndarray:
+                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """All directed intra-cluster pairs after spectral clustering of X.
 
     RBF affinity with a median-distance bandwidth by default, symmetric
@@ -304,9 +294,9 @@ def spectral_edges(X: np.ndarray, clusters: int,
     n = X.shape[0]
     if n < clusters:
         raise ValueError(f"need at least {clusters} nodes, got {n}")
-    if n > solver_cap:
+    if n > LAPLACIAN_CAP:
         raise ValueError(
-            f"{n} nodes exceeds the (N, N) Laplacian cap ({solver_cap})"
+            f"{n} nodes exceeds the (N, N) Laplacian cap ({LAPLACIAN_CAP})"
         )
     rng = rng or np.random.default_rng()
     lap = _normalized_laplacian(X, bandwidth)
@@ -363,28 +353,17 @@ class Enricher:
         self.full_knn = (knn_edges(g.features, cfg.k)
                          if cfg.gamma_knn > 0 else np.empty((0, 3), np.int64))
         self.full_spectral = (
-            spectral_edges(g.features, cfg.clusters, cfg.kernel_bandwidth,
-                           rng, cfg.solver_cap)
+            spectral_edges(g.features, cfg.clusters, rng=rng)
             if cfg.gamma_spec > 0 else np.empty((0, 3), np.int64))
 
     def sample(self, rng: np.random.Generator) -> EnrichedGraph:
-        cfg = self.cfg
-        g = self.graph
-        parts = [g.edges,
-                 sample_edges(self.full_knn, cfg.gamma_knn, rng),
-                 sample_edges(self.full_spectral, cfg.gamma_spec, rng)]
-        union = np.vstack([p for p in parts if p.size])
-        if union.size:
-            union = union[union[:, 0] != union[:, 1]]   # loops live in the tail
-        merged = coalesce(union) if union.size else np.empty((0, 3), np.int64)
-        start = merged.shape[0]
-        if cfg.add_self_loops:
-            loops = make_edges(np.arange(g.num_nodes).repeat(2).reshape(-1, 2),
-                               EdgeOrigin.SELF_LOOP)
-            merged = np.vstack([merged, loops]) if merged.size else loops
-        return EnrichedGraph(enriched_edges=merged, num_scorable=start)
-
-
-def enrich(g: Graph, cfg: EnrichConfig, rng: np.random.Generator) -> EnrichedGraph:
-    """One-shot enrichment: precompute full sets, sample once."""
-    return Enricher(g, cfg, rng).sample(rng)
+        cfg, g = self.cfg, self.graph
+        union = np.vstack([
+            g.edges,
+            sample_edges(self.full_knn, cfg.gamma_knn, rng),
+            sample_edges(self.full_spectral, cfg.gamma_spec, rng)])
+        # self-loops live in the tail
+        merged = coalesce(union[union[:, 0] != union[:, 1]])
+        loops = make_edges(np.arange(g.num_nodes).repeat(2).reshape(-1, 2),
+                           EdgeOrigin.SELF_LOOP)
+        return EnrichedGraph(np.vstack([merged, loops]))

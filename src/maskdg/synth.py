@@ -45,6 +45,8 @@ class SynthConfig:
             raise ValueError("homophily must lie in [0, 1]")
         if self.num_domains < 1:
             raise ValueError("need at least one domain")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.spurious_strengths is not None \
                 and len(self.spurious_strengths) != self.num_domains:
             raise ValueError("one spurious strength per domain")

@@ -353,7 +353,9 @@ def _nll(logits: np.ndarray, labels: np.ndarray):
     mx = sub.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(sub - mx).sum(axis=-1)) + mx[..., 0]
     nll = lse - sub[..., np.arange(keep.size), labels[keep]]
-    return nll.sum(axis=-1) * (1.0 / keep.size), keep
+    # A (B, K) batch comes out F-ordered; its row sums would round unlike
+    # the one-graph (K,) sum. Summing a C-ordered copy gives the same bits.
+    return np.ascontiguousarray(nll).sum(axis=-1) * (1.0 / keep.size), keep
 
 
 def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:

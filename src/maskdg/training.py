@@ -369,7 +369,7 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def _typed(cls, data: dict):
+def typed_config(cls, data: dict):
     """cls(**data) once each value fits its field's default: an int field
     takes an int, a float field an int or float within the float64 range
     (not NaN or infinite), only a bool field a bool."""
@@ -384,14 +384,27 @@ def _typed(cls, data: dict):
     return cls(**data)
 
 
+# Enrichment settings that were once configurable, each with the one value
+# the code still implements; stored configs that carry them keep loading.
+_RETIRED_ENRICH = {"kernel_bandwidth": "median", "add_self_loops": True,
+                   "solver_cap": 5000}
+
+
 def config_from_dict(data: dict) -> TrainConfig:
     data = dict(data)
-    for name, cls in (("enrich", EnrichConfig), ("tasknet", TaskNetConfig)):
-        data[name] = _typed(cls, dict(data.get(name, {})))
+    enrich = dict(data.get("enrich", {}))
+    for key, only in _RETIRED_ENRICH.items():
+        value = enrich.pop(key, only)
+        if type(value) is not type(only) or value != only:
+            raise ValueError(f"enrich.{key} is no longer configurable: "
+                             f"only {only!r} is supported, got {value!r}")
+    data["enrich"] = typed_config(EnrichConfig, enrich)
+    data["tasknet"] = typed_config(TaskNetConfig,
+                                   dict(data.get("tasknet", {})))
     unknown = set(data) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return _typed(TrainConfig, data)
+    return typed_config(TrainConfig, data)
 
 
 CHECKPOINT_VERSION = 1

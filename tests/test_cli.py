@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -7,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from maskdg import checks
-from maskdg.cli import main
+from maskdg.cli import build_parser, main
+from maskdg.enrich import EnrichConfig
 from maskdg.gradients import FiniteDiffReport
 from maskdg.graph import EdgeOrigin, load_graph, save_graph
 
@@ -54,6 +56,16 @@ def test_enrich_subcommand_writes_stats(domains, tmp_path):
     assert stats["counts"]["KNN"] > 0
     g = load_graph(out / "enriched.graph")
     assert g.num_edges == sum(stats["counts"].values())
+
+
+def test_enrich_flags_are_one_per_enrich_config_field():
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command")
+    options = {opt for a in subparsers.choices["enrich"]._actions
+               for opt in a.option_strings} - {"-h", "--help"}
+    fields = {"--" + f.name.replace("_", "-")
+              for f in dataclasses.fields(EnrichConfig)}
+    assert options == {"--graph", "--seed", "--out"} | fields
 
 
 def run_train(domains, out, extra=()):
@@ -250,18 +262,21 @@ def test_out_env_var_override(domains, tmp_path, monkeypatch):
     assert (target / "oracle.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["enrich", "--k", "0"],
-    ["enrich", "--k", "40"],
-    ["enrich", "--k", "41"],
-    ["enrich", "--k", "3", "--clusters", "41"],
-    ["train", *COMMON, "--enrich-clusters", "41"],
-    ["train", *COMMON, "--enrich-solver-cap", "39"],
+@pytest.mark.parametrize("argv,laplacian_cap", [
+    (["enrich", "--k", "0"], None),
+    (["enrich", "--k", "40"], None),
+    (["enrich", "--k", "41"], None),
+    (["enrich", "--k", "3", "--clusters", "41"], None),
+    (["train", *COMMON, "--enrich-clusters", "41"], None),
+    (["train", *COMMON], 39),
 ], ids=["enrich-k-0", "enrich-k-N", "enrich-k-over-N", "enrich-clusters-over-N",
         "train-clusters-over-N", "train-N-over-solver-cap"])
 def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
-                                               argv):
+                                               monkeypatch, argv,
+                                               laplacian_cap):
     # each synth domain has 40 nodes
+    if laplacian_cap is not None:
+        monkeypatch.setattr("maskdg.enrich.LAPLACIAN_CAP", laplacian_cap)
     flag = "--graph" if argv[0] == "enrich" else "--source"
     rc = main([argv[0], flag, str(domains[0]), *argv[1:],
                "--out", str(tmp_path / "out")])
@@ -282,13 +297,21 @@ def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
     ["train", "--tasknet-attn-dropout", "1.5"],
     ["train", "--tasknet-layer-dropout", "1.5"],
     ["train", "--mask-enabled", "maybe"],
+    ["synth", "--backbone-degree", "inf"],
+    ["synth", "--spurious-strength", "nan"],
+    ["synth", "--center-separation", "nan"],
+    ["synth", "--seed", "-1"],
+    ["enrich", "--k", "abc"],
 ], ids=["synth-no-domains", "synth-negative-nodes", "train-epochs-not-int",
         "grid-not-numbers", "grid-negative", "train-mask-d-prime-0",
         "train-attn-dropout-over-1", "train-layer-dropout-over-1",
-        "train-mask-enabled-not-bool"])
+        "train-mask-enabled-not-bool", "synth-backbone-degree-inf",
+        "synth-spurious-strength-nan", "synth-center-separation-nan",
+        "synth-seed-negative", "enrich-k-not-int"])
 def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
                                                   argv):
-    source = [] if argv[0] == "synth" else ["--source", str(domains[0])]
+    source = {"synth": [], "enrich": ["--graph", str(domains[0])]}.get(
+        argv[0], ["--source", str(domains[0])])
     rc = main([argv[0], *source, *argv[1:], "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -434,9 +457,8 @@ SMALL_CONFIG = {
                 "attn_dropout": 0.0, "layer_dropout": 0.0},
 }
 INT_FIELDS = ("seed", "epochs", "n_descent", "n_ascent", "mask_d_prime",
-              "mask_hidden", "enrich.k", "enrich.clusters",
-              "enrich.solver_cap", "tasknet.layers", "tasknet.heads",
-              "tasknet.head_dim")
+              "mask_hidden", "enrich.k", "enrich.clusters", "tasknet.layers",
+              "tasknet.heads", "tasknet.head_dim")
 
 
 def with_values(config, pairs):
@@ -513,6 +535,48 @@ def test_checkpoint_config_value_of_wrong_type_exits_1(
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "not a readable checkpoint" in err
+
+
+# The enrichment settings that are no longer configurable, at the one value
+# each still takes; checkpoints written before they went carry them.
+RETIRED_ENRICH = [("enrich.kernel_bandwidth", "median"),
+                  ("enrich.add_self_loops", True), ("enrich.solver_cap", 5000)]
+
+
+def test_checkpoint_with_retired_enrich_keys_evaluates_identically(
+        domains, trained_checkpoint, tmp_path):
+    with np.load(trained_checkpoint) as data:
+        config = json.loads(bytes(data["meta"]).decode())["config"]
+    assert set(config["enrich"]) == {
+        f.name for f in dataclasses.fields(EnrichConfig)}
+    outputs = []
+    for name, stored in (("current", config),
+                         ("retired", with_values(config, RETIRED_ENRICH))):
+        (tmp_path / name).mkdir()
+        assert run_eval_config(domains, tmp_path / name, trained_checkpoint,
+                               stored) == 0
+        lines = (tmp_path / name / "out" / "metrics.json").read_bytes()
+        outputs.append([line for line in lines.splitlines()
+                        if b'"manifest_sha256"' not in line])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("pair", [("enrich.kernel_bandwidth", 0.5),
+                                  ("enrich.add_self_loops", False),
+                                  ("enrich.solver_cap", 10000)],
+                         ids=["bandwidth-0.5", "self-loops-false",
+                              "solver-cap-10000"])
+def test_checkpoint_with_retired_enrich_key_at_another_value_exits_1(
+        domains, trained_checkpoint, tmp_path, capsys, pair):
+    with np.load(trained_checkpoint) as data:
+        config = json.loads(bytes(data["meta"]).decode())["config"]
+    rc = run_eval_config(domains, tmp_path, trained_checkpoint,
+                         with_values(config, [pair]))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and pair[0] in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 NON_FINITE_OR_OUT_OF_RANGE = [

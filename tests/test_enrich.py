@@ -9,7 +9,6 @@ from maskdg import enrich as enrich_mod
 from maskdg.enrich import (
     EnrichConfig,
     Enricher,
-    enrich,
     knn_edges,
     sample_edges,
     spectral_edges,
@@ -224,10 +223,11 @@ def test_spectral_identical_features_collapse_to_one_cluster():
     assert edges.shape[0] == 8 * 7
 
 
-def test_spectral_rejects_oversized_input():
+def test_spectral_rejects_oversized_input(monkeypatch):
+    monkeypatch.setattr(enrich_mod, "LAPLACIAN_CAP", 10)
     X = np.zeros((12, 2))
     with pytest.raises(ValueError, match="cap"):
-        spectral_edges(X, 2, rng=np.random.default_rng(0), solver_cap=10)
+        spectral_edges(X, 2, rng=np.random.default_rng(0))
 
 
 def test_spectral_needs_enough_nodes():
@@ -456,11 +456,16 @@ def ring_graph(n=8, d=3, seed=0):
     return Graph(X, edges, g.integers(0, 2, size=n), 2, "ring")
 
 
+def scorable_count(eg):
+    return int(np.sum(eg.enriched_edges[:, 0] != eg.enriched_edges[:, 1]))
+
+
 def test_enrich_zero_gammas_gives_original_plus_loops():
     g = ring_graph()
     cfg = EnrichConfig(k=2, clusters=2, gamma_knn=0.0, gamma_spec=0.0)
-    eg = enrich(g, cfg, np.random.default_rng(0))
-    assert eg.num_scorable == g.num_edges
+    rng = np.random.default_rng(0)
+    eg = Enricher(g, cfg, rng).sample(rng)
+    assert scorable_count(eg) == g.num_edges
     np.testing.assert_array_equal(eg.enriched_edges[:g.num_edges], g.edges)
     tail = eg.enriched_edges[g.num_edges:]
     assert (tail[:, 0] == tail[:, 1]).all()
@@ -468,11 +473,22 @@ def test_enrich_zero_gammas_gives_original_plus_loops():
     assert tail.shape[0] == g.num_nodes
 
 
+def test_enrich_edgeless_graph_with_nothing_sampled_gives_the_loops():
+    g = Graph(np.random.default_rng(0).normal(size=(6, 3)),
+              np.empty((0, 3), np.int64), np.zeros(6, np.int64), 2, "bare")
+    cfg = EnrichConfig(k=2, clusters=2, gamma_knn=0.0, gamma_spec=0.0)
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(
+        Enricher(g, cfg, rng).sample(rng).enriched_edges,
+        make_edges([(i, i) for i in range(6)], EdgeOrigin.SELF_LOOP))
+
+
 def test_enrich_original_origin_wins_over_knn():
     g = ring_graph()
     cfg = EnrichConfig(k=2, clusters=2, gamma_knn=1.0, gamma_spec=0.0)
-    eg = enrich(g, cfg, np.random.default_rng(0))
-    scorable = eg.enriched_edges[:eg.num_scorable]
+    rng = np.random.default_rng(0)
+    eg = Enricher(g, cfg, rng).sample(rng)
+    scorable = eg.enriched_edges[:scorable_count(eg)]
     original_pairs = set(map(tuple, g.edges[:, :2]))
     for s, d, o in scorable:
         if (s, d) in original_pairs:
@@ -482,8 +498,8 @@ def test_enrich_original_origin_wins_over_knn():
 def test_enrich_is_bit_deterministic_under_seed():
     g = ring_graph(n=12)
     cfg = EnrichConfig(k=3, clusters=3, gamma_knn=0.5, gamma_spec=0.5)
-    a = enrich(g, cfg, np.random.default_rng(42))
-    b = enrich(g, cfg, np.random.default_rng(42))
+    a, b = (Enricher(g, cfg, rng).sample(rng)
+            for rng in (np.random.default_rng(42), np.random.default_rng(42)))
     np.testing.assert_array_equal(a.enriched_edges, b.enriched_edges)
 
 
@@ -502,12 +518,13 @@ def test_enricher_resample_redraws_subsets_without_recompute():
 def test_enrich_stats_pipeline():
     g = ring_graph(n=10, seed=5)
     cfg = EnrichConfig(k=3, clusters=2, gamma_knn=1.0, gamma_spec=0.0)
-    eg = enrich(g, cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    eg = Enricher(g, cfg, rng).sample(rng)
     stats = edge_stats(g, eg)
     total_scorable = sum(v for k, v in stats.counts.items() if k != "SELF_LOOP")
-    assert total_scorable == eg.num_scorable
+    assert total_scorable == scorable_count(eg)
     assert stats.edge_increase_pct == pytest.approx(
-        100.0 * (eg.num_scorable - g.num_edges) / g.num_edges)
+        100.0 * (scorable_count(eg) - g.num_edges) / g.num_edges)
 
 
 @settings(max_examples=30, deadline=None)
@@ -535,7 +552,7 @@ def test_citation_scale_defaults_smoke():
     g = Graph(X, coalesce(make_edges(directed, EdgeOrigin.ORIGINAL)),
               rng.integers(0, 5, size=n), 5, "citation-scale")
     cfg = EnrichConfig(k=10, clusters=100, gamma_knn=0.1, gamma_spec=0.1)
-    eg = enrich(g, cfg, rng)
+    eg = Enricher(g, cfg, rng).sample(rng)
     stats = edge_stats(g, eg)
     assert stats.counts["SELF_LOOP"] == n
     assert stats.counts["KNN"] > 0 and stats.counts["SPECTRAL"] > 0
