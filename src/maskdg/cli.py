@@ -45,6 +45,14 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end as ConfigError (exit 1);
+    argparse itself would exit 2, the code of a numeric failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 # -- config plumbing --------------------------------------------------------
 
 def _flag_name(*parts) -> str:
@@ -376,7 +384,7 @@ def cmd_oracle(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maskdg",
         description="Adversarial edge masking on enriched graphs for "
                     "domain-generalizing node classification.")
@@ -439,11 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     import os
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if os.environ.get("MASKDG_OUT") and hasattr(args, "out"):
-        args.out = os.environ["MASKDG_OUT"]
     try:
+        args = build_parser().parse_args(argv)
+        if os.environ.get("MASKDG_OUT") and hasattr(args, "out"):
+            args.out = os.environ["MASKDG_OUT"]
         return args.func(args)
     except (ConfigError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

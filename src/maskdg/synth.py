@@ -47,9 +47,19 @@ class SynthConfig:
             raise ValueError("need at least one domain")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.spurious_strengths is not None \
-                and len(self.spurious_strengths) != self.num_domains:
-            raise ValueError("one spurious strength per domain")
+        if self.backbone_degree > self.nodes_per_domain - 1:
+            raise ValueError("backbone_degree must be <= nodes_per_domain - 1")
+        if self.spurious_strengths is not None:
+            if len(self.spurious_strengths) != self.num_domains:
+                raise ValueError("one spurious strength per domain")
+            if any(isinstance(s, bool) or not isinstance(s, (int, float))
+                   for s in self.spurious_strengths):
+                raise ValueError("spurious strengths must be numbers")
+        # the strengths in use: a ramped scalar reaches 1.5x its value
+        for s in self.domain_strengths():
+            if not 0 <= s <= 1:
+                raise ValueError(f"spurious strengths must lie in [0, 1], "
+                                 f"got {s!r}")
 
     def domain_strengths(self) -> list:
         if self.spurious_strengths is not None:

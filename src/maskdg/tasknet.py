@@ -187,15 +187,6 @@ class EdgeSegments:
         return ex / self.take(self.sum(ex), self.dst)
 
 
-def edge_softmax(logits: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Numerically stable softmax of edge logits grouped by destination node."""
-    seg = EdgeSegments(np.stack([dst, dst], axis=1), num_nodes)
-    alpha = np.empty(seg.order.size)
-    alpha[seg.order] = seg.softmax(
-        np.asarray(logits, dtype=np.float64)[seg.order])
-    return alpha
-
-
 def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
               seg: EdgeSegments, activation: str, final: bool,
               keep: Optional[np.ndarray] = None, layer: int = 0) -> ad.Var:
@@ -342,9 +333,9 @@ def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     return out.data
 
 
-def _nll(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood over labeled nodes of (..., N, C) logits,
-    one value per leading batch index, and the indices of the labeled rows."""
+def _nll_terms(logits: np.ndarray, labels: np.ndarray):
+    """Negative log-likelihood of each labeled node of (..., N, C) logits:
+    the (..., K) terms and the indices of the K labeled rows."""
     labels = np.asarray(labels, dtype=np.int64)
     keep = np.flatnonzero(labels != UNLABELED)
     if keep.size == 0:
@@ -352,15 +343,19 @@ def _nll(logits: np.ndarray, labels: np.ndarray):
     sub = np.asarray(logits, dtype=np.float64)[..., keep, :]
     mx = sub.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(sub - mx).sum(axis=-1)) + mx[..., 0]
-    nll = lse - sub[..., np.arange(keep.size), labels[keep]]
+    return lse - sub[..., np.arange(keep.size), labels[keep]], keep
+
+
+def _nll_mean(terms: np.ndarray) -> np.ndarray:
+    """The mean of (..., K) terms over the last axis."""
     # A (B, K) batch comes out F-ordered; its row sums would round unlike
     # the one-graph (K,) sum. Summing a C-ordered copy gives the same bits.
-    return np.ascontiguousarray(nll).sum(axis=-1) * (1.0 / keep.size), keep
+    return np.ascontiguousarray(terms).sum(axis=-1) * (1.0 / terms.shape[-1])
 
 
 def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
     """Mean negative log-likelihood over labeled nodes as one tape op."""
-    loss, keep = _nll(logits.data, labels)
+    terms, keep = _nll_terms(logits.data, labels)
 
     def vjp(g):
         # The forward's shifted exponentials, recomputed rather than kept on
@@ -374,24 +369,68 @@ def cross_entropy_var(logits: ad.Var, labels: np.ndarray) -> ad.Var:
         g_logits[keep] = (g_mean / ex.sum(axis=1))[:, None] * ex + onehot
         return ((logits, g_logits),)
 
-    return ad.Var(loss, parents=(logits,), vjp=vjp)
+    return ad.Var(_nll_mean(terms), parents=(logits,), vjp=vjp)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(_nll(logits, labels)[0])
+    return float(_nll_mean(_nll_terms(logits, labels)[0]))
+
+
+def _field(seg: EdgeSegments, v: int, layers: int) -> np.ndarray:
+    """Input-order indices of the edges whose mask entries node v's logits
+    read: the edges into v's (layers - 1)-hop upstream closure."""
+    near = np.zeros(seg.num_nodes, dtype=bool)
+    near[v] = True
+    for _ in range(layers - 1):
+        near[seg.src[near[seg.dst]]] = True
+    return seg.order[near[seg.dst]]
+
+
+def _group_firsts(keys: np.ndarray) -> np.ndarray:
+    """For each row of an (R, F) int array, the first row with the same
+    entries. np.unique(axis=0) gives the same rows but sorts them as opaque
+    bytes: on a 2-vCPU host duality_grid's run_s read 0.19 s with it and
+    0.11 s with this lexsort."""
+    order = np.lexsort(keys.T)                 # stable: groups keep row order
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    firsts = np.empty_like(order)
+    firsts[order] = order[new][np.cumsum(new) - 1]
+    return firsts
 
 
 def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     labels: np.ndarray, masks: np.ndarray,
                     cfg: TaskNetConfig) -> np.ndarray:
     """Evaluation-mode cross-entropy for each row of a (B, E) mask batch,
-    through the same layer as tasknet_forward, in fixed-size row chunks."""
+    through the same layer as tasknet_forward, in fixed-size row chunks.
+
+    A node's logits read only its `_field` of the mask, and gat_layer's
+    softmaxes, sums and matmuls are local to a node and a row. So within a
+    chunk, the rows whose field entries have the same bits (compared as
+    int64, so -0.0 and 0.0 stay apart) share that node's terms: one forward
+    over the union of each node's group leaders gives every row's terms,
+    and every non-finite value the whole chunk would have met.
+    """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
     seg = EdgeSegments(edges, X.shape[0])
     pv = ad.param_vars(p, track=False)
     width = len(p.layers[0]) * p.out_w.shape[1]
     rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))
-    return np.concatenate([
-        _nll(_forward(pv, X, seg, ad.constant(masks[i:i + rows]), cfg,
-                      None).data, labels)[0]
-        for i in range(0, masks.shape[0], rows)])
+    fields = [_field(seg, v, len(p.layers)) for v in range(seg.num_nodes)]
+
+    def chunk_loss(chunk: np.ndarray) -> np.ndarray:
+        bits = chunk.view(np.int64)
+        firsts = [_group_firsts(bits[:, field]) for field in fields]
+        leaders = np.zeros(chunk.shape[0], dtype=bool)
+        for f in firsts:
+            leaders[f] = True
+        union = np.flatnonzero(leaders)
+        terms, keep = _nll_terms(_forward(
+            pv, X, seg, ad.constant(chunk[union]), cfg, None).data, labels)
+        at = (np.cumsum(leaders) - 1)[np.stack([firsts[v] for v in keep], 1)]
+        return _nll_mean(terms[at, np.arange(keep.size)])
+
+    return np.concatenate([chunk_loss(masks[i:i + rows])
+                           for i in range(0, masks.shape[0], rows)])

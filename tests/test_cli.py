@@ -302,12 +302,23 @@ def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
     ["synth", "--center-separation", "nan"],
     ["synth", "--seed", "-1"],
     ["enrich", "--k", "abc"],
+    ["synth", "--backbone-degree", "1e9"],
+    ["synth", "--nodes-per-domain", "5", "--backbone-degree", "4.5"],
+    ["synth", "--spurious-strengths", "[NaN,1,2]"],
+    ["synth", "--spurious-strengths", "[0.1,0.2,-0.1]"],
+    ["synth", "--spurious-strengths", "[0.1,Infinity,0.2]"],
+    ["synth", "--spurious-strength", "1.5"],
+    ["synth", "--spurious-strength", "0.9"],
 ], ids=["synth-no-domains", "synth-negative-nodes", "train-epochs-not-int",
         "grid-not-numbers", "grid-negative", "train-mask-d-prime-0",
         "train-attn-dropout-over-1", "train-layer-dropout-over-1",
         "train-mask-enabled-not-bool", "synth-backbone-degree-inf",
         "synth-spurious-strength-nan", "synth-center-separation-nan",
-        "synth-seed-negative", "enrich-k-not-int"])
+        "synth-seed-negative", "enrich-k-not-int", "synth-backbone-degree-1e9",
+        "synth-backbone-degree-over-nodes", "synth-spurious-strengths-nan",
+        "synth-spurious-strengths-negative", "synth-spurious-strengths-inf",
+        "synth-spurious-strength-over-1",
+        "synth-spurious-strength-ramped-over-1"])
 def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
                                                   argv):
     source = {"synth": [], "enrich": ["--graph", str(domains[0])]}.get(
@@ -318,6 +329,36 @@ def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
     assert err.startswith("error: "), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()     # rejected before any work
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--enrich-solver-cap", "39"],
+     "error: maskdg: unrecognized arguments: --enrich-solver-cap 39"),
+    (["enrich", "--seed", "abc"],
+     "error: maskdg enrich: argument --seed: invalid int value: 'abc'"),
+    (["oracle", "--seed", "abc"],
+     "error: maskdg oracle: argument --seed: invalid int value: 'abc'"),
+    (["eval", "--graph", "g.graph"], "error: maskdg eval: the following "
+                                     "arguments are required: --checkpoint"),
+], ids=["unknown-flag", "enrich-seed-not-int", "oracle-seed-not-int",
+        "missing-required-flag"])
+def test_usage_errors_exit_1(domains, tmp_path, capsys, argv, message):
+    if argv[0] == "train":
+        argv = [*argv, "--source", str(domains[0])]
+    elif argv[0] == "enrich":
+        argv = [*argv, "--graph", str(domains[0])]
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--help"])
+    assert info.value.code == 0
+    assert "--source" in capsys.readouterr().out
 
 
 def test_mask_dump_describes_the_inference_graph(domains, tmp_path):

@@ -109,3 +109,25 @@ def test_config_validation():
         SynthConfig(homophily=1.5)
     with pytest.raises(ValueError):
         SynthConfig(spurious_strengths=(0.1,), num_domains=3)
+    with pytest.raises(ValueError, match=r"nodes_per_domain - 1"):
+        SynthConfig(nodes_per_domain=10, backbone_degree=9.5)
+    for strengths in ((0.1, float("nan"), 0.2), (0.1, 1.5, 0.2),
+                      (-0.1, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SynthConfig(spurious_strengths=strengths)
+    with pytest.raises(ValueError, match="numbers"):
+        SynthConfig(spurious_strengths=(0.1, True, 0.2))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SynthConfig(spurious_strength=float("inf"))
+    # three domains ramp the scalar to 0.5x, 1x and 1.5x: 0.9 reaches 1.35
+    with pytest.raises(ValueError, match=r"\[0, 1\], got 1.35"):
+        SynthConfig(spurious_strength=0.9, num_domains=3)
+    assert SynthConfig(spurious_strength=0.9, num_domains=1) \
+        .domain_strengths() == [0.9]
+    assert max(SynthConfig(spurious_strength=2 / 3).domain_strengths()) <= 1
+
+
+def test_largest_backbone_degree_still_generates():
+    ds = generate(SynthConfig(nodes_per_domain=10, backbone_degree=9.0,
+                              num_domains=1, seed=2))
+    assert ds.source_graphs[0].num_edges > 0

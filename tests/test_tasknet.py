@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskdg import autodiff as ad
 from maskdg import tasknet
@@ -15,7 +17,6 @@ from maskdg.tasknet import (
     TaskNetParams,
     cross_entropy,
     cross_entropy_var,
-    edge_softmax,
     gat_layer,
     init_tasknet,
     loss_over_masks,
@@ -30,6 +31,16 @@ def graph_with_loops(pairs, n):
     e = make_edges(pairs, EdgeOrigin.ORIGINAL)
     loops = make_edges([(i, i) for i in range(n)], EdgeOrigin.SELF_LOOP)
     return np.vstack([e, loops])
+
+
+def edge_softmax(logits, dst, num_nodes):
+    """Softmax of edge logits grouped by destination node, through
+    `EdgeSegments.softmax`, in input edge order."""
+    seg = EdgeSegments(np.stack([dst, dst], axis=1), num_nodes)
+    alpha = np.empty(seg.order.size)
+    alpha[seg.order] = seg.softmax(
+        np.asarray(logits, dtype=np.float64)[seg.order])
+    return alpha
 
 
 # -- independent reference implementation ----------------------------------
@@ -332,6 +343,82 @@ def test_loss_over_masks_rows_do_not_depend_on_chunking(monkeypatch):
         single = cross_entropy(tasknet_forward(p, X, edges, masks[i], cfg),
                                labels)
         assert abs(whole[i] - single) <= 1e-12
+
+
+def plain_loss_over_masks(p, X, edges, labels, masks, cfg):
+    """loss_over_masks without grouping rows: each chunk of rows through one
+    forward, then the mean NLL over labeled nodes, summed C-ordered."""
+    seg = EdgeSegments(edges, X.shape[0])
+    pv = ad.param_vars(p, track=False)
+    width = cfg.heads * cfg.head_dim
+    rows = max(1, tasknet._CHUNK_BYTES // (8 * masks.shape[1] * width))
+    keep = np.flatnonzero(labels != -1)
+    out = []
+    for i in range(0, masks.shape[0], rows):
+        sub = tasknet_forward_var(pv, X, edges, ad.constant(masks[i:i + rows]),
+                                  cfg, seg=seg).data[:, keep, :]
+        mx = sub.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(sub - mx).sum(axis=-1)) + mx[..., 0]
+        nll = lse - sub[..., np.arange(keep.size), labels[keep]]
+        out.append(np.ascontiguousarray(nll).sum(axis=-1) * (1.0 / keep.size))
+    return np.concatenate(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loss_over_masks_matches_a_plain_forward_per_chunk(data):
+    layers = data.draw(st.sampled_from([1, 2]), "layers")
+    n = data.draw(st.integers(2, 6), "nodes")
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]), min_size=1, max_size=8, unique=True),
+        "edges")
+    seed = data.draw(st.integers(0, 2 ** 16), "seed")
+    unlabeled = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                          .filter(lambda u: not all(u)), "unlabeled")
+    coarse = data.draw(st.booleans(), "coarse")
+    batch = data.draw(st.integers(1, 40), "batch")
+    rows = data.draw(st.integers(1, 9), "rows per chunk")
+    cfg = TaskNetConfig(layers=layers, heads=2, head_dim=2,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    g = np.random.default_rng(seed)
+    p = small_params(3, 3, cfg, seed=seed)
+    edges = graph_with_loops(pairs, n)
+    X = g.normal(size=(n, 3))
+    labels = np.where(unlabeled, -1, g.integers(0, 3, size=n))
+    if coarse:      # rows repeat on a node's field, with signed zeros
+        masks = g.choice([0.0, -0.0, 0.5, 1.0], size=(batch, edges.shape[0]))
+    else:           # every row distinct on every field
+        masks = g.uniform(size=(batch, edges.shape[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tasknet, "_CHUNK_BYTES",
+                   rows * 8 * edges.shape[0] * cfg.heads * cfg.head_dim)
+        got = loss_over_masks(p, X, edges, labels, masks, cfg)
+        want = plain_loss_over_masks(p, X, edges, labels, masks, cfg)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_nonfinite_value_feeding_only_unlabeled_nodes_is_raised():
+    # Head 1 reads the mask channel with weight 1e10, so the planted 1e300
+    # on edge 2 -> 3 sends its logit to +inf and node 3's softmax to NaN.
+    # Node 3 is unlabeled and feeds no other node: row 4 matches row 0 on
+    # every labeled node's field, and only node 3's own groups reach it.
+    cfg = TaskNetConfig(layers=2, heads=4, head_dim=2,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=5)
+    for k, hp in enumerate(p.layers[0]):
+        hp.a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
+    edges = graph_with_loops([(0, 1), (1, 0), (2, 3)], 4)
+    X = np.random.default_rng(2).normal(size=(4, 3))
+    labels = np.array([0, 1, 0, -1])
+    masks = np.ones((6, edges.shape[0]))
+    masks[4, 2] = 1e300
+    raised = []
+    for fn in (plain_loss_over_masks, loss_over_masks):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            fn(p, X, edges, labels, masks, cfg)
+        raised.append((info.value.layer, info.value.head))
+    assert raised == [(0, 1), (0, 1)]
 
 
 # -- the edge-last layout ------------------------------------------------------
