@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 import zipfile
@@ -39,6 +40,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CHECK_FAILED = 3
+
+# One-pass BLAS products change their last bits with the thread count, so
+# the manifest records these settings (None where unset).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 class ConfigError(Exception):
@@ -192,6 +198,8 @@ class RunContext:
             "config": config,
             "seed": seed,
             "artifacts": list(artifacts),
+            "blas_threads": {var: os.environ.get(var)
+                             for var in BLAS_THREAD_VARS},
         }
         self.manifest_path = self.out / "manifest.json"
         write_atomic(self.manifest_path, _json_bytes(manifest))

@@ -20,7 +20,8 @@ from .graph import UNLABELED
 LEAKY_SLOPE = 0.2
 
 # Byte budget of the widest edge tensor of a forward-only pass, which runs in
-# blocks (mask rows in loss_over_masks, edges in gat_layer and masknet).
+# blocks (mask rows in loss_over_masks, edges in gat_layer and masknet), and
+# of the int64 view of the mask rows loss_over_masks groups at once.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -404,33 +405,42 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     labels: np.ndarray, masks: np.ndarray,
                     cfg: TaskNetConfig) -> np.ndarray:
     """Evaluation-mode cross-entropy for each row of a (B, E) mask batch,
-    through the same layer as tasknet_forward, in fixed-size row chunks.
+    through the same layer as tasknet_forward.
 
     A node's logits read only its `_field` of the mask, and gat_layer's
     softmaxes, sums and matmuls are local to a node and a row. So within a
-    chunk, the rows whose field entries have the same bits (compared as
-    int64, so -0.0 and 0.0 stay apart) share that node's terms: one forward
-    over the union of each node's group leaders gives every row's terms,
-    and every non-finite value the whole chunk would have met.
+    block of rows whose (rows, E) int64 view fits _CHUNK_BYTES, the rows
+    whose field entries have the same bits (compared as int64, so -0.0 and
+    0.0 stay apart) share that node's terms: forwarding the union of each
+    node's group leaders, in slices of rows whose widest edge tensor fits
+    _CHUNK_BYTES, gives every row's terms, and every non-finite value the
+    block's rows would have met. A NonFiniteError names the layer, and the
+    first head in it, that went non-finite in the first such slice of
+    leaders to meet a non-finite value.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
     seg = EdgeSegments(edges, X.shape[0])
     pv = ad.param_vars(p, track=False)
     width = len(p.layers[0]) * p.out_w.shape[1]
-    rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))
+    rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))  # a slice
+    block = max(rows, _CHUNK_BYTES // (8 * masks.shape[1]))
     fields = [_field(seg, v, len(p.layers)) for v in range(seg.num_nodes)]
 
-    def chunk_loss(chunk: np.ndarray) -> np.ndarray:
-        bits = chunk.view(np.int64)
+    def block_loss(part: np.ndarray) -> np.ndarray:
+        bits = part.view(np.int64)
         firsts = [_group_firsts(bits[:, field]) for field in fields]
-        leaders = np.zeros(chunk.shape[0], dtype=bool)
+        leaders = np.zeros(part.shape[0], dtype=bool)
         for f in firsts:
             leaders[f] = True
-        union = np.flatnonzero(leaders)
-        terms, keep = _nll_terms(_forward(
-            pv, X, seg, ad.constant(chunk[union]), cfg, None).data, labels)
+        union = part[leaders]
+        terms, keeps = zip(*(_nll_terms(_forward(
+            pv, X, seg, ad.constant(union[i:i + rows]), cfg, None).data,
+            labels) for i in range(0, union.shape[0], rows)))
+        keep = keeps[0]
         at = (np.cumsum(leaders) - 1)[np.stack([firsts[v] for v in keep], 1)]
-        return _nll_mean(terms[at, np.arange(keep.size)])
+        return _nll_mean(np.concatenate(terms)[at, np.arange(keep.size)])
 
-    return np.concatenate([chunk_loss(masks[i:i + rows])
-                           for i in range(0, masks.shape[0], rows)])
+    out = np.empty(masks.shape[0])
+    for i in range(0, masks.shape[0], block):
+        out[i:i + block] = block_loss(masks[i:i + block])
+    return out

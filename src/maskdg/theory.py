@@ -65,19 +65,36 @@ def surrogate_optimal_mask(prob: SurrogateProblem):
 
 def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION,
                    chunk: int = 200_000):
-    """Yield chunks of the full grid {0, resolution, ..., 1}^m."""
+    """Yield chunks of the full grid {0, resolution, ..., 1}^m, in row-major
+    order: the last column varies fastest.
+
+    Column `col` holds each level for a run of L ** (m - 1 - col) points,
+    cycling through the L levels, so a chunk's column is the level vector
+    rotated to the chunk's first run, tiled over the runs the chunk touches
+    and repeated run by run, with the first and last runs cut to the chunk.
+    """
     if m > GRID_EDGE_CAP:
         raise ValueError(f"grid too large: m={m} exceeds cap {GRID_EDGE_CAP}")
+    if not (np.isfinite(resolution) and 0 < resolution <= 1):
+        raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 12)
     L = levels.size
     total = L ** m
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        pts = np.empty((idx.size, m))
-        rem = idx
-        for col in range(m - 1, -1, -1):
-            pts[:, col] = levels[rem % L]
-            rem = rem // L
+        stop = min(start + chunk, total)
+        pts = np.empty((stop - start, m))
+        for col in range(m):
+            run = L ** (m - 1 - col)
+            first, last = start // run, (stop - 1) // run
+            touched = last - first + 1
+            cycle = np.tile(np.roll(levels, -(first % L)), -(-touched // L))
+            if run == 1:    # np.repeat by a count per element is 3x slower
+                pts[:, col] = cycle[:touched]
+                continue
+            counts = np.full(touched, run)
+            counts[0] -= start - first * run
+            counts[-1] -= (last + 1) * run - stop
+            pts[:, col] = np.repeat(cycle[:touched], counts)
         yield pts
 
 
@@ -102,11 +119,15 @@ def dual_upper_bound(loss_fn: Callable[[np.ndarray], np.ndarray], m: int,
     """Grid-estimate the budget-constrained maximum P and the penalized
     maxima D(lam), then check P <= D(lam) + tol for each multiplier.
 
-    loss_fn maps a (B, m) mask batch to (B,) loss values.
+    loss_fn maps a (B, m) mask batch to (B,) loss values. The all-zero mask,
+    of mean 0, is the grid's cheapest, so a budget below it (or NaN) leaves P
+    without a feasible point and raises ValueError.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if any(l < 0 for l in lambda_grid):
         raise ValueError("multipliers must be nonnegative")
+    if not rho >= -1e-12:
+        raise ValueError(f"no grid mask meets the budget rho={rho}")
     primal = -np.inf
     primal_point = None
     duals = {l: -np.inf for l in lambda_grid}

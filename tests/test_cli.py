@@ -45,6 +45,26 @@ def test_synth_writes_graphs_and_manifest(domains):
     assert manifest["config"]["nodes_per_domain"] == 40
 
 
+def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch):
+    # Reruns are bit-identical only at one BLAS thread count, so a rerun at
+    # another count must show in the manifest.
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / threads
+        assert main(["synth", "--num-domains", "1", "--nodes-per-domain",
+                     "20", "--seed", "1", "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0]["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": None,
+                                            "MKL_NUM_THREADS": None}
+    assert manifests[1]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    manifests[1]["blas_threads"] = manifests[0]["blas_threads"]
+    assert manifests[0] == manifests[1]
+
+
 def test_enrich_subcommand_writes_stats(domains, tmp_path):
     out = tmp_path / "enr"
     rc = main(["enrich", "--graph", str(domains[0]), "--k", "3",

@@ -23,6 +23,7 @@ from maskdg.tasknet import (
     tasknet_forward,
     tasknet_forward_var,
 )
+from maskdg.theory import iter_mask_grid
 
 rng = np.random.default_rng(42)
 
@@ -377,9 +378,14 @@ def test_loss_over_masks_matches_a_plain_forward_per_chunk(data):
     unlabeled = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
                           .filter(lambda u: not all(u)), "unlabeled")
     coarse = data.draw(st.booleans(), "coarse")
-    batch = data.draw(st.integers(1, 40), "batch")
-    rows = data.draw(st.integers(1, 9), "rows per chunk")
-    cfg = TaskNetConfig(layers=layers, heads=2, head_dim=2,
+    batch = data.draw(st.integers(1, 60), "batch")
+    rows = data.draw(st.integers(1, 9), "rows per forward slice")
+    # Rows are grouped in blocks whose (rows, E) int64 view fits the budget,
+    # heads * head_dim forward slices' worth of rows, so with a width above
+    # 1 a block's group leaders go through several forward slices.
+    heads = data.draw(st.integers(1, 3), "heads")
+    head_dim = data.draw(st.integers(1, 2), "head_dim")
+    cfg = TaskNetConfig(layers=layers, heads=heads, head_dim=head_dim,
                         attn_dropout=0.0, layer_dropout=0.0)
     g = np.random.default_rng(seed)
     p = small_params(3, 3, cfg, seed=seed)
@@ -398,7 +404,48 @@ def test_loss_over_masks_matches_a_plain_forward_per_chunk(data):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_loss_over_masks_of_an_empty_batch_is_empty():
+    cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=3)
+    edges = graph_with_loops([(0, 1), (1, 2)], 3)
+    X = np.random.default_rng(3).normal(size=(3, 3))
+    out = loss_over_masks(p, X, edges, np.array([0, 1, 0]),
+                          np.empty((0, edges.shape[0])), cfg)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_loss_over_masks_memory_stays_within_the_block_budget():
+    # The criterion-4 grid: 21^4 masks over 4 scorable edges and 3 self-loops
+    # (10.4 MiB). Beside its (B,) output, one call holds a block's grouping
+    # bookkeeping, bounded by _CHUNK_BYTES; grouping the whole batch in one
+    # pass peaks near 16.6 MiB.
+    cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=7)
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (1, 0)], 3)
+    X = np.random.default_rng(7).normal(size=(3, 3))
+    grid = np.vstack(list(iter_mask_grid(4, 0.05)))
+    masks = np.ones((grid.shape[0], edges.shape[0]))
+    masks[:, :4] = grid
+    tracemalloc.start()
+    try:
+        out = loss_over_masks(p, X, edges, np.array([0, 1, 0]), masks, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (21 ** 4,)
+    assert peak < out.nbytes + 2 * tasknet._CHUNK_BYTES
+
+
 def test_nonfinite_value_feeding_only_unlabeled_nodes_is_raised():
+    """A row that meets a non-finite value raises NonFiniteError although
+    its loss terms come from other rows. loss_over_masks forwards a block's
+    group leaders in slices; the error names the layer, and the first head
+    within it, that went non-finite in the first slice to meet a non-finite
+    value. Here the block's leaders are rows 0 and 4, in one slice or (one
+    row per slice) two, and both name layer 0, head 1, as the plain
+    per-chunk forward does."""
     # Head 1 reads the mask channel with weight 1e10, so the planted 1e300
     # on edge 2 -> 3 sends its logit to +inf and node 3's softmax to NaN.
     # Node 3 is unlabeled and feeds no other node: row 4 matches row 0 on
@@ -413,12 +460,18 @@ def test_nonfinite_value_feeding_only_unlabeled_nodes_is_raised():
     labels = np.array([0, 1, 0, -1])
     masks = np.ones((6, edges.shape[0]))
     masks[4, 2] = 1e300
-    raised = []
-    for fn in (plain_loss_over_masks, loss_over_masks):
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
-            fn(p, X, edges, labels, masks, cfg)
-        raised.append((info.value.layer, info.value.head))
-    assert raised == [(0, 1), (0, 1)]
+    # The default budget, then one-row slices in blocks of heads * head_dim
+    # = 8 rows.
+    for budget in (tasknet._CHUNK_BYTES, edge_bytes(cfg) * edges.shape[0]):
+        raised = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tasknet, "_CHUNK_BYTES", budget)
+            for fn in (plain_loss_over_masks, loss_over_masks):
+                with np.errstate(all="ignore"), \
+                        pytest.raises(NonFiniteError) as info:
+                    fn(p, X, edges, labels, masks, cfg)
+                raised.append((info.value.layer, info.value.head))
+        assert raised == [(0, 1), (0, 1)], budget
 
 
 # -- the edge-last layout ------------------------------------------------------

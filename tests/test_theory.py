@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,59 @@ def test_grid_enumerates_exactly():
     assert pts.shape == (9, 2)
     expected = {(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)}
     assert set(map(tuple, pts)) == expected
+
+
+def division_mask_grid(m, resolution, chunk):
+    """The grid built point by point from each index's base-L digits, by an
+    int64 `%` and `//` per column: the reference order."""
+    levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 12)
+    L = levels.size
+    total = L ** m
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        pts = np.empty((idx.size, m))
+        rem = idx
+        for col in range(m - 1, -1, -1):
+            pts[:, col] = levels[rem % L]
+            rem = rem // L
+        yield pts
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 200_000])
+@pytest.mark.parametrize("resolution", [0.05, 0.25, 0.3, 1.0])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_grid_matches_base_l_digits_chunk_by_chunk(m, resolution, chunk):
+    # Chunks of 1, 7 and 1000 points cut the runs of L ** k points unevenly.
+    # Past 2,000 chunks (21^3 points and more at 1 or 7 points per chunk)
+    # only the first 2,000 are compared, to keep the test short.
+    pairs = itertools.zip_longest(division_mask_grid(m, resolution, chunk),
+                                  iter_mask_grid(m, resolution, chunk))
+    for want, got in itertools.islice(pairs, 2000):
+        assert want is not None and got is not None, "chunk counts differ"
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, np.nan, np.inf])
+def test_grid_resolution_outside_unit_interval_rejected(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        next(iter_mask_grid(2, resolution))
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.1, np.nan])
+def test_dual_bound_rejects_an_empty_grid(resolution):
+    prob = SurrogateProblem(c=np.array([0.5, 0.1]))
+    with pytest.raises(ValueError, match="resolution"):
+        dual_upper_bound(prob.loss, 2, 0.5, [0.0, 1.0], resolution=resolution)
+
+
+@pytest.mark.parametrize("rho", [-0.1, -1.0, np.nan])
+def test_dual_bound_rejects_a_budget_no_grid_mask_meets(rho):
+    # Below the all-zero mask's mean of 0 the primal has no feasible point:
+    # the bound would compare D(lam) with P = -inf and always "hold".
+    prob = SurrogateProblem(c=np.array([0.5, 0.1]))
+    with pytest.raises(ValueError, match="budget"):
+        dual_upper_bound(prob.loss, 2, rho, [0.0, 1.0])
 
 
 def test_negative_multiplier_rejected():
