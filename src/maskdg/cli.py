@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__, theory
 from .enrich import EnrichConfig, Enricher
 from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
                     load_dataset, load_graph, save_graph, write_atomic)
@@ -32,7 +32,7 @@ from .masknet import dump_mask_csv, mask_forward
 from .synth import SynthConfig, generate, verify_shift
 from .tasknet import TaskNetConfig
 from .training import (TrainConfig, TrainedModel, ablate_2x2, ablate_lambda,
-                       config_from_dict, config_to_dict, evaluate,
+                       config_from_dict, evaluate,
                        inference_graph, load_checkpoint, mask_statistics,
                        save_checkpoint, train, typed_config)
 
@@ -79,6 +79,17 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls, prefix=()) -> None:
         parser.add_argument(_flag_name(*prefix, f.name),
                             dest="::".join(("cfg",) + prefix + (f.name,)),
                             default=None, metavar="V")
+
+
+def _seed(value: str) -> int:
+    """The argparse type of --seed: a nonnegative int."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+    return seed
 
 
 def _coerce(value: str, current):
@@ -277,7 +288,7 @@ def _load_sources_target(args, cfg: TrainConfig) -> DomainDataset:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
-    ctx = RunContext(args.out, "train", config_to_dict(cfg), cfg.seed,
+    ctx = RunContext(args.out, "train", dataclasses.asdict(cfg), cfg.seed,
                      artifacts=["model.ckpt", "history.csv", "metrics.json",
                                 "mask_dump.csv"])
     result = train(ds, cfg)
@@ -337,7 +348,7 @@ def cmd_ablate_lambda(args) -> int:
         raise ConfigError(f"--grid: sparsity values must be finite and >= 0, "
                           f"got {args.grid!r}")
     ctx = RunContext(args.out, "ablate-lambda",
-                     {"train": config_to_dict(cfg), "grid": grid}, cfg.seed)
+                     {"train": dataclasses.asdict(cfg), "grid": grid}, cfg.seed)
     rows = ablate_lambda(ds, cfg, grid)
     ctx.write_json("lambda_table.json", {"rows": rows})
     header = sorted({k for r in rows for k in r})
@@ -354,7 +365,7 @@ def cmd_ablate_lambda(args) -> int:
 def cmd_ablate_2x2(args) -> int:
     cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
-    ctx = RunContext(args.out, "ablate-2x2", config_to_dict(cfg), cfg.seed)
+    ctx = RunContext(args.out, "ablate-2x2", dataclasses.asdict(cfg), cfg.seed)
     rows = ablate_2x2(ds, cfg)
     ctx.write_json("ablation_2x2.json", {"rows": rows})
     ctx.finish()
@@ -365,7 +376,7 @@ def cmd_ablate_2x2(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     ctx = RunContext(args.out, "gradcheck", {}, args.seed)
-    audit = checks.gradient_audit(args.seed)
+    audit = theory.gradient_audit(args.seed)
     print("\n".join([*audit.tasknet.lines(), *audit.masknet.lines()]))
     ctx.write_json("gradcheck.json", {
         "tasknet": audit.tasknet.per_tensor,
@@ -378,10 +389,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    names = ([n for n in checks.ORACLES if getattr(args, n)]
-             or list(checks.ORACLES))
+    names = ([n for n in theory.ORACLES if getattr(args, n)]
+             or list(theory.ORACLES))
     ctx = RunContext(args.out, "oracle", {"checks": names}, args.seed)
-    results = {n: checks.ORACLES[n](args.seed).passed for n in names}
+    results = {n: theory.ORACLES[n](args.seed).passed for n in names}
     for name, ok in results.items():
         print(f"{name:14s} {'PASS' if ok else 'FAIL'}")
     ctx.write_json("oracle.json", {"results": results})
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enrich", help="build the feature-enriched graph")
     p.add_argument("--graph", required=True)
     _add_config_flags(p, EnrichConfig)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_out(p)
     p.set_defaults(func=cmd_enrich)
 
@@ -438,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed_help = "offset added to each check's pinned seed (0 runs the gate)"
     p = subs.add_parser("gradcheck", help="finite-difference audit")
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
     add_out(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("oracle", help="optimality and duality checks")
-    for name in checks.ORACLES:
+    for name in theory.ORACLES:
         p.add_argument(_flag_name(name), dest=name, action="store_true")
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
     add_out(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -453,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import os
-
     try:
         args = build_parser().parse_args(argv)
         if os.environ.get("MASKDG_OUT") and hasattr(args, "out"):

@@ -18,6 +18,7 @@ from .graph import EdgeOrigin, Graph, coalesce, make_edges
 
 # Most nodes whose (N, N) Laplacian buffer spectral_edges will build.
 LAPLACIAN_CAP = 5000
+_KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -177,11 +178,11 @@ def _kmeans_pp_init(emb: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator,
-            max_iter: int = 100) -> np.ndarray:
+def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Lloyd rounds from a k-means++ start, _KMEANS_MAX_ITER at most."""
     centers = _kmeans_pp_init(emb, k, rng)
     assign = np.zeros(emb.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = _pairwise_sq_distances(emb, centers)
         new_assign = d2.argmin(axis=1)
         for j in range(k):

@@ -20,6 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from . import masknet, tasknet
 
+FD_ABS_FLOOR = 1e-8
+
 
 @dataclass
 class GradientBundle:
@@ -99,17 +101,17 @@ class FiniteDiffReport:
 
 def finite_diff_check(loss_fn: Callable[[], float], named_params,
                       analytic: Dict[str, np.ndarray], h: float = 1e-4,
-                      tol: float = 1e-4,
-                      abs_floor: float = 1e-8) -> FiniteDiffReport:
+                      tol: float = 1e-4) -> FiniteDiffReport:
     """Central-difference audit of an analytic gradient.
 
     Mutates each parameter coordinate in place by +/-h, calls loss_fn, and
     restores it. The error metric is |fd - g| / max(|fd|, |g|, floor) with
-    floor = abs_floor / tol, so absolute errors below abs_floor always pass.
+    floor = FD_ABS_FLOOR / tol, so absolute errors below FD_ABS_FLOOR always
+    pass.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    floor = abs_floor / tol
+    floor = FD_ABS_FLOOR / tol
     per_tensor, checked = {}, {}
     for name, arr in named_params:
         flat = arr.reshape(-1)

@@ -296,9 +296,17 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     return ad.Var(out, parents=(h, mask, *params), vjp=vjp)
 
 
-def _forward(pv: TaskNetParams, X: np.ndarray, seg: EdgeSegments,
-             mask: ad.Var, cfg: TaskNetConfig,
-             dropout_rng: Optional[np.random.Generator]) -> ad.Var:
+def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
+                        mask: ad.Var, cfg: TaskNetConfig,
+                        dropout_rng: Optional[np.random.Generator] = None,
+                        seg: Optional[EdgeSegments] = None) -> ad.Var:
+    """Tape forward pass producing (N, C) logits.
+
+    `pv` comes from ad.param_vars(); `mask` is a full-length Var aligned to
+    `edges`. Passing dropout_rng=None means evaluation mode. `seg` is
+    `EdgeSegments(edges, N)` when a caller has built it already.
+    """
+    seg = seg or EdgeSegments(edges, X.shape[0])
     h = ad.constant(X)
     for l, heads in enumerate(pv.layers):
         final = l == len(pv.layers) - 1
@@ -310,20 +318,6 @@ def _forward(pv: TaskNetParams, X: np.ndarray, seg: EdgeSegments,
         if dropout_rng is not None and not final:
             h = ad.dropout(h, cfg.layer_dropout, dropout_rng)
     return h @ ad.transpose(pv.out_w)
-
-
-def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
-                        mask: ad.Var, cfg: TaskNetConfig,
-                        dropout_rng: Optional[np.random.Generator] = None,
-                        seg: Optional[EdgeSegments] = None) -> ad.Var:
-    """Tape forward pass producing (N, C) logits.
-
-    `pv` comes from ad.param_vars(); `mask` is a full-length Var aligned to
-    `edges`. Passing dropout_rng=None means evaluation mode. `seg` is
-    `EdgeSegments(edges, N)` when a caller has built it already.
-    """
-    return _forward(pv, X, seg or EdgeSegments(edges, X.shape[0]), mask, cfg,
-                    dropout_rng)
 
 
 def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
@@ -433,8 +427,8 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
         for f in firsts:
             leaders[f] = True
         union = part[leaders]
-        terms, keeps = zip(*(_nll_terms(_forward(
-            pv, X, seg, ad.constant(union[i:i + rows]), cfg, None).data,
+        terms, keeps = zip(*(_nll_terms(tasknet_forward_var(
+            pv, X, edges, ad.constant(union[i:i + rows]), cfg, None, seg).data,
             labels) for i in range(0, union.shape[0], rows)))
         keep = keeps[0]
         at = (np.cumsum(leaders) - 1)[np.stack([firsts[v] for v in keep], 1)]

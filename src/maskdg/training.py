@@ -365,10 +365,6 @@ def ablate_2x2(dataset: DomainDataset, cfg: TrainConfig) -> List[dict]:
 
 # -- config and checkpoint serialization -----------------------------------
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def typed_config(cls, data: dict):
     """cls(**data) once each value fits its field's default: an int field
     takes an int, a float field an int or float within the float64 range
@@ -420,7 +416,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         arrays[f"mask.{name}"] = arr
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(model.cfg),
+        "config": dataclasses.asdict(model.cfg),
         "final_lambda": model.final_lambda,
     }
     arrays["meta"] = np.frombuffer(

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from maskdg import checks
+from maskdg import theory
 from maskdg.enrich import EnrichConfig
 from maskdg.graph import DomainDataset, EdgeOrigin, make_edges
 from maskdg.synth import SynthConfig, generate
@@ -21,16 +21,16 @@ from maskdg.training import (TrainConfig, ablate_2x2, evaluate,
 from tests.test_tasknet import edge_softmax, reference_gat_forward
 
 
-# Criteria 1-5 run the instances of `maskdg.checks`, the same ones `maskdg
+# Criteria 1-5 run the instances of `maskdg.theory`, the same ones `maskdg
 # gradcheck` and `maskdg oracle` run; criteria 2-5 read the session's one
 # run of them (the `oracle_runs` fixture). Each test restates the instance
 # parameters and the tolerance as literals against what the check measured.
 
 def test_criterion_1_gradient_correctness_within_10s():
-    edges = checks.eight_node_fixture(0)[3]
+    edges = theory.eight_node_fixture(0)[3]
     assert np.bincount(edges[:, 2], minlength=4).tolist() == [8, 4, 4, 8]
     start = time.monotonic()
-    audit = checks.gradient_audit()
+    audit = theory.gradient_audit()
     elapsed = time.monotonic() - start
     assert (audit.seed, audit.h) == (0, 1e-4)
     for report in (audit.tasknet, audit.masknet):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maskdg import checks
+from maskdg import theory
 from maskdg.cli import build_parser, main
 from maskdg.enrich import EnrichConfig
 from maskdg.gradients import FiniteDiffReport
@@ -202,7 +202,7 @@ def test_gradcheck_passes_and_writes_report(tmp_path):
         out = tmp_path / f"gc{seed}"
         assert main(["gradcheck", "--seed", str(seed), "--out", str(out)]) == 0
         report = json.loads((out / "gradcheck.json").read_text())
-        audit = checks.gradient_audit(seed)
+        audit = theory.gradient_audit(seed)
         assert report["passed"] is True
         assert report["tasknet"] == audit.tasknet.per_tensor
         assert report["masknet"] == audit.masknet.per_tensor
@@ -210,9 +210,9 @@ def test_gradcheck_passes_and_writes_report(tmp_path):
 
 def test_a_failing_check_exits_3(tmp_path, capsys, monkeypatch):
     bad = FiniteDiffReport({"out_w": 1.0}, {"out_w": 1}, 1.0, 1e-4)
-    monkeypatch.setattr(checks, "gradient_audit", lambda seed:
+    monkeypatch.setattr(theory, "gradient_audit", lambda seed:
                         SimpleNamespace(tasknet=bad, masknet=bad, passed=False))
-    monkeypatch.setitem(checks.ORACLES, "kkt",
+    monkeypatch.setitem(theory.ORACLES, "kkt",
                         lambda seed: SimpleNamespace(passed=False))
     assert main(["gradcheck", "--out", str(tmp_path / "gc")]) == 3
     assert "gradcheck: FAIL" in capsys.readouterr().out
@@ -242,15 +242,15 @@ def test_oracle_all_checks_pass(tmp_path, monkeypatch, oracle_runs):
             return oracle_runs[name][0]
         return run
 
-    for name in list(checks.ORACLES):
-        monkeypatch.setitem(checks.ORACLES, name, spy(name))
+    for name in list(theory.ORACLES):
+        monkeypatch.setitem(theory.ORACLES, name, spy(name))
     out = tmp_path / "orc"
     assert main(["oracle", "--out", str(out)]) == 0
-    assert calls == [(name, 0) for name in checks.ORACLES]
+    assert calls == [(name, 0) for name in theory.ORACLES]
     results = json.loads((out / "oracle.json").read_text())["results"]
     assert results == {name: result.passed
                        for name, (result, _) in oracle_runs.items()}
-    assert results == dict.fromkeys(checks.ORACLES, True)
+    assert results == dict.fromkeys(theory.ORACLES, True)
 
 
 def test_ablate_lambda_runs_grid(domains, tmp_path):
@@ -360,8 +360,15 @@ def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
      "error: maskdg oracle: argument --seed: invalid int value: 'abc'"),
     (["eval", "--graph", "g.graph"], "error: maskdg eval: the following "
                                      "arguments are required: --checkpoint"),
+    (["enrich", "--seed", "-1"], "error: maskdg enrich: argument --seed: "
+                                 "must be >= 0, got '-1'"),
+    (["gradcheck", "--seed", "-1"], "error: maskdg gradcheck: argument "
+                                    "--seed: must be >= 0, got '-1'"),
+    (["oracle", "--kkt", "--seed", "-20"], "error: maskdg oracle: argument "
+                                           "--seed: must be >= 0, got '-20'"),
 ], ids=["unknown-flag", "enrich-seed-not-int", "oracle-seed-not-int",
-        "missing-required-flag"])
+        "missing-required-flag", "enrich-seed-negative",
+        "gradcheck-seed-negative", "oracle-seed-negative"])
 def test_usage_errors_exit_1(domains, tmp_path, capsys, argv, message):
     if argv[0] == "train":
         argv = [*argv, "--source", str(domains[0])]

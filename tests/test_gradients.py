@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from maskdg import autodiff as ad
-from maskdg.checks import eight_node_fixture, gradient_audit
 from maskdg.gradients import finite_diff_check, grad_masknet, grad_tasknet
 from maskdg.masknet import mask_forward, mask_forward_var
 from maskdg.tasknet import (cross_entropy, cross_entropy_var, tasknet_forward,
                             tasknet_forward_var)
-from maskdg.theory import masknet_gradient_identity
+from maskdg.theory import (eight_node_fixture, gradient_audit,
+                           masknet_gradient_identity)
 
 
 def test_tasknet_gradient_matches_finite_differences():

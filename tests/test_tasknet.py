@@ -404,6 +404,29 @@ def test_loss_over_masks_matches_a_plain_forward_per_chunk(data):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_loss_over_masks_groups_rows_on_their_bits(monkeypatch):
+    # Two rows that differ only by 0.0 against -0.0 in one entry of a node's
+    # field are equal as floats but not as int64 bits; grouping compares the
+    # bits, so each row is forwarded as a group leader of its own.
+    cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=5)
+    edges = graph_with_loops([(0, 1), (1, 2)], 3)
+    X = np.random.default_rng(5).normal(size=(3, 3))
+    masks = np.ones((2, edges.shape[0]))
+    masks[:, 0] = [0.0, -0.0]
+    forward, forwarded = tasknet.tasknet_forward_var, []
+
+    def spy(pv, X, edges, mask, *args):
+        forwarded.append(mask.data.copy())
+        return forward(pv, X, edges, mask, *args)
+
+    monkeypatch.setattr(tasknet, "tasknet_forward_var", spy)
+    loss_over_masks(p, X, edges, np.array([0, 1, 0]), masks, cfg)
+    np.testing.assert_array_equal(np.concatenate(forwarded).view(np.int64),
+                                  masks.view(np.int64))
+
+
 def test_loss_over_masks_of_an_empty_batch_is_empty():
     cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
                         attn_dropout=0.0, layer_dropout=0.0)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,20 @@ def test_dual_bound_rejects_a_budget_no_grid_mask_meets(rho):
     prob = SurrogateProblem(c=np.array([0.5, 0.1]))
     with pytest.raises(ValueError, match="budget"):
         dual_upper_bound(prob.loss, 2, rho, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("loss_fn, message", [
+    (lambda b: np.full(len(b), np.nan), "loss nan at mask [0.0, 0.0]"),
+    (lambda b: np.where(b[:, 0] > 0.5, np.nan, b.sum(axis=1)),
+     "loss nan at mask [0.55, 0.0]"),
+    (lambda b: np.where(b[:, 1] == 1.0, np.inf, 0.0),
+     "loss inf at mask [0.0, 1.0]"),
+], ids=["nan-everywhere", "nan-past-half", "inf"])
+def test_dual_bound_rejects_a_non_finite_loss(loss_fn, message):
+    # A NaN never beats -inf in the running maxima, so NaN losses would leave
+    # the primal and every dual at -inf and the bound always "holding".
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dual_upper_bound(loss_fn, 2, 0.5, [0.0, 1.0])
 
 
 def test_negative_multiplier_rejected():

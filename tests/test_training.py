@@ -16,7 +16,6 @@ from maskdg.training import (
     ablate_2x2,
     ablate_lambda,
     config_from_dict,
-    config_to_dict,
     dual_ascent_lambda,
     evaluate,
     f1_metrics,
@@ -549,7 +548,8 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
     for (_, a), (_, b) in zip(result.model.mask.named(), loaded.mask.named()):
         np.testing.assert_array_equal(a, b)
-    assert config_to_dict(loaded.cfg) == config_to_dict(result.model.cfg)
+    assert (dataclasses.asdict(loaded.cfg)
+            == dataclasses.asdict(result.model.cfg))
     assert loaded.final_lambda == result.model.final_lambda
 
 
@@ -596,12 +596,12 @@ def test_checkpoint_with_legacy_rng_state_loads(tmp_path):
 
 def test_config_roundtrip_through_dict():
     cfg = small_cfg(sparsity=0.5, dual_rho=0.3, dual_step=2.0)
-    again = config_from_dict(config_to_dict(cfg))
-    assert config_to_dict(again) == config_to_dict(cfg)
+    again = config_from_dict(dataclasses.asdict(cfg))
+    assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
 
 def test_config_rejects_unknown_keys():
-    data = config_to_dict(small_cfg())
+    data = dataclasses.asdict(small_cfg())
     data["learning_rate"] = 1.0
     with pytest.raises(ValueError, match="unknown config"):
         config_from_dict(data)
