@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -30,11 +31,9 @@ from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
                     load_dataset, load_graph, save_graph, write_atomic)
 from .masknet import dump_mask_csv, mask_forward
 from .synth import SynthConfig, generate, verify_shift
-from .tasknet import TaskNetConfig
 from .training import (TrainConfig, TrainedModel, ablate_2x2, ablate_lambda,
-                       config_from_dict, evaluate,
-                       inference_graph, load_checkpoint, mask_statistics,
-                       save_checkpoint, train, typed_config)
+                       evaluate, inference_graph, load_checkpoint,
+                       mask_statistics, save_checkpoint, train, typed_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,18 +65,18 @@ def _flag_name(*parts) -> str:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls, prefix=()) -> None:
-    """One flag per dataclass field; nested configs get prefixed flags.
+    """One flag per dataclass field; a field whose default is a config gets
+    prefixed flags for its own fields instead.
 
     Destinations carry a 'cfg::' marker so override keys are recognizable in
     the parsed namespace regardless of nesting depth.
     """
-    for f in dataclasses.fields(cls):
-        if f.name in ("enrich", "tasknet"):
-            sub = {"enrich": EnrichConfig, "tasknet": TaskNetConfig}[f.name]
-            _add_config_flags(parser, sub, prefix + (f.name,))
+    for name, default in vars(cls()).items():
+        if dataclasses.is_dataclass(default):
+            _add_config_flags(parser, type(default), prefix + (name,))
             continue
-        parser.add_argument(_flag_name(*prefix, f.name),
-                            dest="::".join(("cfg",) + prefix + (f.name,)),
+        parser.add_argument(_flag_name(*prefix, name),
+                            dest="::".join(("cfg",) + prefix + (name,)),
                             default=None, metavar="V")
 
 
@@ -92,20 +91,20 @@ def _seed(value: str) -> int:
     return seed
 
 
-def _coerce(value: str, current):
-    """The flag string as the type of the field's current value; raises
-    ValueError when it does not parse as that type."""
-    if isinstance(current, bool):
+def _coerce(value: str, default):
+    """The flag string as the type of the field's default; raises ValueError
+    when it does not parse as that type."""
+    if isinstance(default, bool):
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(default, int):
         return int(value)
-    if isinstance(current, float):
+    if isinstance(default, float):
         return float(value)
-    if current is None:
+    if default is None:
         try:
             return json.loads(value)
         except json.JSONDecodeError:
@@ -113,18 +112,23 @@ def _coerce(value: str, current):
     return value
 
 
-def _config_overrides(args, data: dict) -> None:
-    """Write the parsed 'cfg::' flags into the (nested) dict `data`,
-    coerced to each field's type."""
+def _config_overrides(args, data: dict, defaults) -> None:
+    """Write the parsed 'cfg::' flags into the (nested) dict `data`, each
+    coerced to the type of its field's default in the config `defaults`."""
     for key, value in vars(args).items():
         if not key.startswith("cfg::") or value is None:
             continue
         parts = key.split("::")[1:]
         node = data
-        for p in parts[:-1]:
+        for depth, p in enumerate(parts[:-1], 1):
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"bad configuration: "
+                                  f"{'.'.join(parts[:depth])} must be an "
+                                  f"object, got {node!r}")
         try:
-            node[parts[-1]] = _coerce(value, node.get(parts[-1]))
+            node[parts[-1]] = _coerce(
+                value, functools.reduce(getattr, parts, defaults))
         except ValueError:
             raise ConfigError(f"{_flag_name(*parts)}: bad value {value!r}") \
                 from None
@@ -134,7 +138,8 @@ def resolve_config(args, cls=TrainConfig):
     """The run's `cls` config: its defaults, updated from the --config file
     where the subcommand takes one, then from the flags; each value checked
     as a checkpoint's stored config is."""
-    data = dataclasses.asdict(cls())
+    defaults = cls()
+    data = dataclasses.asdict(defaults)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -146,10 +151,9 @@ def resolve_config(args, cls=TrainConfig):
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         data.update(loaded)
-    _config_overrides(args, data)
+    _config_overrides(args, data, defaults)
     try:
-        return (config_from_dict(data) if cls is TrainConfig
-                else typed_config(cls, data))
+        return typed_config(cls, data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 
@@ -268,7 +272,7 @@ def cmd_enrich(args) -> int:
     path = ctx.out / "enriched.graph"
     save_graph(out_graph, path)
     stats = edge_stats(g, enriched)
-    ctx.write_json("edge_stats.json", stats.to_dict())
+    ctx.write_json("edge_stats.json", dataclasses.asdict(stats))
     ctx.finish()
     print(f"enriched graph -> {path}")
     for origin, count in stats.counts.items():
@@ -307,11 +311,11 @@ def cmd_train(args) -> int:
     enriched = inference_graph(cfg, g0)
     mask = mask_forward(result.model.mask, g0.features, enriched.enriched_edges)
     dump_mask_csv(ctx.out / "mask_dump.csv", enriched.enriched_edges, mask)
-    metrics["mask_stats"] = mask_statistics(enriched, mask).to_dict()
+    metrics["mask_stats"] = dataclasses.asdict(mask_statistics(enriched, mask))
     if ds.target_graph is not None:
         for mode in ("all-ones", "masknet"):
-            m = evaluate(result.model, ds.target_graph, mask_mode=mode)
-            metrics[f"target_{mode.replace('-', '_')}"] = m.to_dict()
+            metrics[f"target_{mode.replace('-', '_')}"] = dataclasses.asdict(
+                evaluate(result.model, ds.target_graph, mask_mode=mode))
     ctx.write_json("metrics.json", metrics)
     ctx.finish()
     print(f"checkpoint -> {ckpt}")
@@ -330,7 +334,8 @@ def cmd_eval(args) -> int:
                      model.cfg.seed)
     payload = {}
     for mode in ("all-ones", "masknet"):
-        payload[mode] = evaluate(model, g, mask_mode=mode).to_dict()
+        payload[mode] = dataclasses.asdict(
+            evaluate(model, g, mask_mode=mode))
     ctx.write_json("metrics.json", payload)
     ctx.finish()
     print(json.dumps(payload, indent=2))

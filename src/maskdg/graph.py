@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def with_labels(self, labels: Sequence[int]) -> "Graph":
-        return Graph(self.features, self.edges, np.asarray(labels),
-                     self.num_classes, self.domain_id)
-
 
 @dataclass(frozen=True)
 class DomainDataset:
@@ -131,9 +127,6 @@ class EdgeOriginStats:
     counts: dict
     edge_increase_pct: Optional[float]
     avg_degree_delta: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def coalesce(edges: np.ndarray) -> np.ndarray:

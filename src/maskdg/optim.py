@@ -10,6 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 
+# The moment decay rates and the denominator's epsilon of Kingma & Ba (2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -20,8 +23,7 @@ class AdamState:
 
 def adam_step(state: AdamState, params: ad.Params,
               grads: Dict[str, np.ndarray], lr: float,
-              weight_decay: float = 0.0, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+              weight_decay: float = 0.0) -> None:
     """One in-place Adam update of `params` (built by `ad.packed`): the
     grads are gathered in named() order and `params.flat` moves at once,
     each entry by the bits a per-tensor update would give it."""
@@ -37,10 +39,10 @@ def adam_step(state: AdamState, params: ad.Params,
     if weight_decay:
         g += weight_decay * w
     m, v = state.m, state.v
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * g * g
-    denom = np.sqrt(v / (1 - beta2 ** state.step))
-    denom += eps
-    w -= lr * (m / (1 - beta1 ** state.step)) / denom
+    m *= BETA1
+    m += (1 - BETA1) * g
+    v *= BETA2
+    v += (1 - BETA2) * g * g
+    denom = np.sqrt(v / (1 - BETA2 ** state.step))
+    denom += EPS
+    w -= lr * (m / (1 - BETA1 ** state.step)) / denom

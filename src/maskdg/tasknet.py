@@ -39,15 +39,12 @@ class TaskNetConfig:
     layers: int = 2
     heads: int = 8
     head_dim: int = 64
-    activation: str = "elu"          # "elu" or "relu"
     attn_dropout: float = 0.6
     layer_dropout: float = 0.5
 
     def __post_init__(self):
         if self.layers < 1 or self.heads < 1 or self.head_dim < 1:
             raise ValueError("layers, heads and head_dim must be >= 1")
-        if self.activation not in ("elu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (0.0 <= self.attn_dropout < 1.0
                 and 0.0 <= self.layer_dropout < 1.0):
             raise ValueError("attn_dropout and layer_dropout must lie in "
@@ -189,7 +186,7 @@ class EdgeSegments:
 
 
 def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
-              seg: EdgeSegments, activation: str, final: bool,
+              seg: EdgeSegments, final: bool,
               keep: Optional[np.ndarray] = None, layer: int = 0) -> ad.Var:
     """All heads of one mask-aware attention layer as a single tape op with
     a hand-written VJP.
@@ -197,8 +194,8 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     h: (..., N, D) input; mask: (..., E) in input edge order, where a leading
     mask-batch axis is carried through (forward only); keep: (H, E) attention
     dropout scale or None. Hidden layers return the (..., N, H*d_h) concat
-    of the activated heads, the final layer their mean. Inside, node tensors
-    are (..., H, F, N) and edge tensors (..., H, F, E). Raises
+    of the ELU-activated heads, the final layer their mean. Inside, node
+    tensors are (..., H, F, N) and edge tensors (..., H, F, E). Raises
     NonFiniteError naming `layer` and the first head whose sums went
     non-finite. Without a VJP to record, the edge stage runs over
     `seg.blocks` whose (..., H, d_h, E) tensors fit in _CHUNK_BYTES; every
@@ -240,17 +237,14 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
         if bad.any():
             raise NonFiniteError(layer=layer, head=int(np.argmax(bad)))
     pos = agg > 0
-    if activation == "elu":
-        neg = np.expm1(np.minimum(agg, 0.0))
-        out = np.where(pos, agg, neg)
-    else:
-        out = agg * pos
+    neg = np.expm1(np.minimum(agg, 0.0))
+    out = np.where(pos, agg, neg)
     out = (out.sum(axis=-3) * (1.0 / H) if final
            else out.reshape(out.shape[:-3] + (H * d_h, -1)))
     out = np.swapaxes(out, -1, -2)
     if not taped:
         return ad.Var(out)
-    dact = np.where(pos, 1.0, neg + 1.0) if activation == "elu" else pos
+    dact = np.where(pos, 1.0, neg + 1.0)
 
     def vjp(g):
         g = g.T * (1.0 / H) if final else g.T.reshape(agg.shape)
@@ -314,7 +308,7 @@ def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
         if dropout_rng is not None and cfg.attn_dropout > 0:
             keep = ad.dropout_keep(dropout_rng, (len(heads), seg.src.size),
                                    cfg.attn_dropout)
-        h = gat_layer(h, heads, mask, seg, cfg.activation, final, keep, l)
+        h = gat_layer(h, heads, mask, seg, final, keep, l)
         if dropout_rng is not None and not final:
             h = ad.dropout(h, cfg.layer_dropout, dropout_rng)
     return h @ ad.transpose(pv.out_w)

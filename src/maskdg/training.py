@@ -43,9 +43,6 @@ class TrainConfig:
     mask_d_prime: int = 128
     mask_hidden: int = 64
     mask_enabled: bool = True         # False: s fixed at 1, no ascent steps
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     dual_rho: Optional[float] = None  # enables dual ascent of lambda
     dual_step: float = 0.0
@@ -56,11 +53,10 @@ class TrainConfig:
                 or self.seed < 0):
             raise ValueError("epochs >= 0, n_descent >= 1, n_ascent >= 1, "
                              "seed >= 0")
-        if not (self.lr_task > 0 and self.lr_mask > 0 and self.adam_eps > 0
-                and self.sparsity >= 0 and self.weight_decay_task >= 0
-                and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("need lr_task, lr_mask, adam_eps > 0, sparsity, "
-                             "weight_decay_task >= 0, adam betas in [0, 1)")
+        if not (self.lr_task > 0 and self.lr_mask > 0
+                and self.sparsity >= 0 and self.weight_decay_task >= 0):
+            raise ValueError("need lr_task, lr_mask > 0, sparsity, "
+                             "weight_decay_task >= 0")
         if self.mask_d_prime < 1 or self.mask_hidden < 1:
             raise ValueError("mask_d_prime and mask_hidden must be >= 1")
         if self.inference_mask_mode not in ("all-ones", "masknet"):
@@ -78,9 +74,6 @@ class Metrics:
     macro_f1: float
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class MaskStats:
@@ -88,9 +81,6 @@ class MaskStats:
     pruned_orig_pct: Optional[float]
     retained_aug_pct: Optional[float]
     threshold: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -218,9 +208,7 @@ def tasknet_descent_step(task: TaskNetParams, s: np.ndarray,
                           seg)
     if not np.isfinite(bundle.loss):
         raise FloatingPointError(f"loss={bundle.loss!r}")
-    adam_step(state, task, bundle.grads, cfg.lr_task,
-              cfg.weight_decay_task, cfg.adam_beta1, cfg.adam_beta2,
-              cfg.adam_eps)
+    adam_step(state, task, bundle.grads, cfg.lr_task, cfg.weight_decay_task)
     return bundle.loss
 
 
@@ -235,8 +223,7 @@ def masknet_ascent_step(task: TaskNetParams, maskp: MaskNetParams,
                           dropout_rng, seg)
     if not np.isfinite(bundle.objective):
         raise FloatingPointError(f"objective={bundle.objective!r}")
-    adam_step(state, maskp, bundle.grads, cfg.lr_mask, 0.0,
-              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam_step(state, maskp, bundle.grads, cfg.lr_mask)
     return bundle.objective
 
 
@@ -325,7 +312,7 @@ def ablate_lambda(dataset: DomainDataset, cfg: TrainConfig,
                                             dataset.source_graphs)}
         if dataset.target_graph is not None:
             m = evaluate(result.model, dataset.target_graph)
-            row.update(m.to_dict())
+            row.update(dataclasses.asdict(m))
         rows.append(row)
     return rows
 
@@ -358,49 +345,56 @@ def ablate_2x2(dataset: DomainDataset, cfg: TrainConfig) -> List[dict]:
                                else cfg.inference_mask_mode),
         }
         if dataset.target_graph is not None:
-            row.update(evaluate(result.model, dataset.target_graph).to_dict())
+            row.update(dataclasses.asdict(
+                evaluate(result.model, dataset.target_graph)))
         rows.append(row)
     return rows
 
 
 # -- config and checkpoint serialization -----------------------------------
 
-def typed_config(cls, data: dict):
-    """cls(**data) once each value fits its field's default: an int field
-    takes an int, a float field an int or float within the float64 range
-    (not NaN or infinite), only a bool field a bool."""
-    for f in dataclasses.fields(cls):
-        want, value = type(f.default), data.get(f.name, f.default)
-        if want in (bool, int, float) and not (
+# Settings that were once configurable, by config class, each with the one
+# value the code still implements; stored configs that carry them keep
+# loading.
+_RETIRED = {
+    EnrichConfig: {"kernel_bandwidth": "median", "add_self_loops": True,
+                   "solver_cap": 5000},
+    TaskNetConfig: {"activation": "elu"},
+    TrainConfig: {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8},
+}
+
+
+def typed_config(cls, data: dict, where: str = ""):
+    """cls(**data) once each value fits its field's default: a config field
+    takes a dict, loaded alike; an int field an int, a float field an int or
+    float within the float64 range (not NaN or infinite), only a bool field
+    a bool. A retired key is dropped at its one value, any other unknown key
+    rejected. Errors name each key's dotted path, prefixed by `where`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where.rstrip('.') or 'config'} must be an "
+                         f"object, got {data!r}")
+    data = dict(data)
+    for key, only in _RETIRED.get(cls, {}).items():
+        value = data.pop(key, only)
+        if type(value) is not type(only) or value != only:
+            raise ValueError(f"{where}{key} is no longer configurable: "
+                             f"only {only!r} is supported, got {value!r}")
+    defaults = vars(cls())
+    unknown = sorted(where + key for key in set(data) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    for name, value in data.items():
+        default = defaults[name]
+        want = type(default)
+        if dataclasses.is_dataclass(default):
+            data[name] = typed_config(want, value, f"{where}{name}.")
+        elif want in (bool, int, float) and not (
                 isinstance(value, (int, float) if want is float else want)
                 and isinstance(value, bool) == (want is bool)
                 and (want is not float or abs(value) <= sys.float_info.max)):
             kind = f"finite {want.__name__}" if want is float else want.__name__
-            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            raise ValueError(f"{where}{name} must be {kind}, got {value!r}")
     return cls(**data)
-
-
-# Enrichment settings that were once configurable, each with the one value
-# the code still implements; stored configs that carry them keep loading.
-_RETIRED_ENRICH = {"kernel_bandwidth": "median", "add_self_loops": True,
-                   "solver_cap": 5000}
-
-
-def config_from_dict(data: dict) -> TrainConfig:
-    data = dict(data)
-    enrich = dict(data.get("enrich", {}))
-    for key, only in _RETIRED_ENRICH.items():
-        value = enrich.pop(key, only)
-        if type(value) is not type(only) or value != only:
-            raise ValueError(f"enrich.{key} is no longer configurable: "
-                             f"only {only!r} is supported, got {value!r}")
-    data["enrich"] = typed_config(EnrichConfig, enrich)
-    data["tasknet"] = typed_config(TaskNetConfig,
-                                   dict(data.get("tasknet", {})))
-    unknown = set(data) - {f.name for f in dataclasses.fields(TrainConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return typed_config(TrainConfig, data)
 
 
 CHECKPOINT_VERSION = 1
@@ -431,7 +425,7 @@ def load_checkpoint(path) -> TrainedModel:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = config_from_dict(meta["config"])
+        cfg = typed_config(TrainConfig, meta["config"])
         d = data["mask.proj_w"].shape[1]
         c = data["task.out_w"].shape[0]
         task = init_tasknet(d, c, cfg.tasknet, np.random.default_rng(0))

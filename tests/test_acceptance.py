@@ -5,7 +5,7 @@ One test per criterion, each at its pinned tolerance, printing a PASS line
 """
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def test_criterion_9_bit_identical_checkpoints_and_metrics(tmp_path):
         path = tmp_path / f"run{run}.ckpt"
         save_checkpoint(path, result.model)
         blobs.append(path.read_bytes())
-        metrics.append(evaluate(result.model, ds.target_graph).to_dict())
+        metrics.append(asdict(evaluate(result.model, ds.target_graph)))
     assert blobs[0] == blobs[1]
     assert metrics[0] == metrics[1]
     print("\nACCEPTANCE 9 PASS bit-identical checkpoints and metrics "
@@ -246,7 +246,7 @@ def test_criterion_9_bit_identical_checkpoints_and_metrics(tmp_path):
 def test_criterion_10_source_isolation():
     graphs = generate(SynthConfig(seed=5, nodes_per_domain=40)).source_graphs
     tgt = graphs[2]
-    corrupted = tgt.with_labels((tgt.labels + 1) % tgt.num_classes)
+    corrupted = replace(tgt, labels=(tgt.labels + 1) % tgt.num_classes)
     cfg = replace(SPARSITY_FIXTURE, epochs=3, seed=10)
     r1 = train(DomainDataset(graphs[:2], tgt), cfg)
     r2 = train(DomainDataset(graphs[:2], corrupted), cfg)

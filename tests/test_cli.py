@@ -12,6 +12,8 @@ from maskdg.cli import build_parser, main
 from maskdg.enrich import EnrichConfig
 from maskdg.gradients import FiniteDiffReport
 from maskdg.graph import EdgeOrigin, load_graph, save_graph
+from maskdg.tasknet import TaskNetConfig
+from maskdg.training import TrainConfig
 
 
 COMMON = [
@@ -78,14 +80,36 @@ def test_enrich_subcommand_writes_stats(domains, tmp_path):
     assert g.num_edges == sum(stats["counts"].values())
 
 
-def test_enrich_flags_are_one_per_enrich_config_field():
+def subcommand_options(name):
     subparsers = next(a for a in build_parser()._actions
                       if a.dest == "command")
-    options = {opt for a in subparsers.choices["enrich"]._actions
-               for opt in a.option_strings} - {"-h", "--help"}
-    fields = {"--" + f.name.replace("_", "-")
-              for f in dataclasses.fields(EnrichConfig)}
-    assert options == {"--graph", "--seed", "--out"} | fields
+    return {opt for a in subparsers.choices[name]._actions
+            for opt in a.option_strings} - {"-h", "--help"}
+
+
+def config_flags(cls, prefix="--"):
+    """One flag per leaf field of the config `cls`: a field whose default is
+    a config contributes its own fields' flags, prefixed by its name."""
+    flags = set()
+    for f in dataclasses.fields(cls):
+        default = getattr(cls(), f.name)
+        name = prefix + f.name.replace("_", "-")
+        flags |= (config_flags(type(default), name + "-")
+                  if dataclasses.is_dataclass(default) else {name})
+    return flags
+
+
+def test_enrich_flags_are_one_per_enrich_config_field():
+    assert subcommand_options("enrich") == (
+        {"--graph", "--seed", "--out"} | config_flags(EnrichConfig))
+
+
+def test_train_flags_are_one_per_leaf_config_field():
+    flags = config_flags(TrainConfig)
+    assert len(flags) == 23
+    assert {"--epochs", "--enrich-k", "--tasknet-heads"} <= flags
+    assert subcommand_options("train") == (
+        {"--config", "--source", "--target", "--out"} | flags)
 
 
 def run_train(domains, out, extra=()):
@@ -131,7 +155,8 @@ def test_manifest_written_and_referenced(domains, tmp_path):
 def test_target_labels_unread_during_training(domains, tmp_path):
     # read-audit: corrupting target labels must not change the checkpoint
     tgt = load_graph(domains[2])
-    corrupted = tgt.with_labels((tgt.labels + 1) % tgt.num_classes)
+    corrupted = dataclasses.replace(tgt,
+                                    labels=(tgt.labels + 1) % tgt.num_classes)
     cpath = tmp_path / "corrupt.graph"
     save_graph(corrupted, cpath)
     out1, out2 = tmp_path / "clean", tmp_path / "dirty"
@@ -579,6 +604,36 @@ def test_config_file_value_of_wrong_type_exits_1(domains, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_integer_valued_float_takes_a_float_flag(domains,
+                                                            tmp_path):
+    # the flag is typed by the field's default, not by the file's value 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(with_values(SMALL_CONFIG,
+                                           [("lr_task", 1), ("epochs", 1)])))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--lr-task", "0.005",
+                 "--source", str(domains[0]), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["lr_task"] == 0.005
+
+
+@pytest.mark.parametrize("nested, flag", [
+    ({"tasknet": None}, ["--tasknet-heads", "2"]),
+    ({"enrich": 3}, ["--enrich-k", "2"]),
+], ids=["tasknet-null", "enrich-int"])
+def test_nested_config_not_an_object_with_its_flag_exits_1(
+        domains, tmp_path, capsys, nested, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, **nested}))
+    rc = main(["train", "--config", str(path), *flag,
+               "--source", str(domains[0]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and next(iter(nested)) in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"epochs"', "3", "null"])
 def test_config_file_that_is_not_an_object_exits_1(domains, tmp_path, capsys,
                                                     text):
@@ -605,21 +660,24 @@ def test_checkpoint_config_value_of_wrong_type_exits_1(
     assert err.startswith("error: ") and "not a readable checkpoint" in err
 
 
-# The enrichment settings that are no longer configurable, at the one value
-# each still takes; checkpoints written before they went carry them.
-RETIRED_ENRICH = [("enrich.kernel_bandwidth", "median"),
-                  ("enrich.add_self_loops", True), ("enrich.solver_cap", 5000)]
+# The settings that are no longer configurable, at the one value each still
+# takes; checkpoints written before they went carry them.
+RETIRED = [("enrich.kernel_bandwidth", "median"),
+           ("enrich.add_self_loops", True), ("enrich.solver_cap", 5000),
+           ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8),
+           ("tasknet.activation", "elu")]
 
 
 def test_checkpoint_with_retired_enrich_keys_evaluates_identically(
         domains, trained_checkpoint, tmp_path):
     with np.load(trained_checkpoint) as data:
         config = json.loads(bytes(data["meta"]).decode())["config"]
-    assert set(config["enrich"]) == {
-        f.name for f in dataclasses.fields(EnrichConfig)}
+    for node, cls in ((config, TrainConfig), (config["enrich"], EnrichConfig),
+                      (config["tasknet"], TaskNetConfig)):
+        assert set(node) == {f.name for f in dataclasses.fields(cls)}
     outputs = []
     for name, stored in (("current", config),
-                         ("retired", with_values(config, RETIRED_ENRICH))):
+                         ("retired", with_values(config, RETIRED))):
         (tmp_path / name).mkdir()
         assert run_eval_config(domains, tmp_path / name, trained_checkpoint,
                                stored) == 0
@@ -631,9 +689,13 @@ def test_checkpoint_with_retired_enrich_keys_evaluates_identically(
 
 @pytest.mark.parametrize("pair", [("enrich.kernel_bandwidth", 0.5),
                                   ("enrich.add_self_loops", False),
-                                  ("enrich.solver_cap", 10000)],
+                                  ("enrich.solver_cap", 10000),
+                                  ("adam_beta1", 0.95), ("adam_beta2", 0.99),
+                                  ("adam_eps", 1e-6),
+                                  ("tasknet.activation", "relu")],
                          ids=["bandwidth-0.5", "self-loops-false",
-                              "solver-cap-10000"])
+                              "solver-cap-10000", "beta1-0.95", "beta2-0.99",
+                              "eps-1e-6", "activation-relu"])
 def test_checkpoint_with_retired_enrich_key_at_another_value_exits_1(
         domains, trained_checkpoint, tmp_path, capsys, pair):
     with np.load(trained_checkpoint) as data:
@@ -652,13 +714,12 @@ NON_FINITE_OR_OUT_OF_RANGE = [
     [("weight_decay_task", -float("inf"))], [("dual_step", float("nan"))],
     [("tasknet.attn_dropout", float("nan"))],
     [("enrich.gamma_knn", float("inf"))], [("lr_mask", 0.0)],
-    [("weight_decay_task", -1e-4)], [("adam_beta1", 1.0)],
-    [("adam_beta2", -0.1)], [("adam_eps", 0)], [("lr_task", 10 ** 400)],
+    [("weight_decay_task", -1e-4)], [("lr_task", 10 ** 400)],
 ]
 NON_FINITE_IDS = ["sparsity-nan", "lr-task-inf", "weight-decay-minus-inf",
                   "dual-step-nan", "attn-dropout-nan", "gamma-knn-inf",
-                  "lr-mask-0", "weight-decay-negative", "beta1-1",
-                  "beta2-negative", "eps-0", "lr-task-int-past-float64"]
+                  "lr-mask-0", "weight-decay-negative",
+                  "lr-task-int-past-float64"]
 
 
 @pytest.mark.parametrize("pairs", NON_FINITE_OR_OUT_OF_RANGE,

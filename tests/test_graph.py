@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,4 +287,4 @@ def test_edge_stats_empty_before_is_undefined():
               np.zeros(3, dtype=int), 1)
     stats = edge_stats(g, make_edges([(0, 1)], EdgeOrigin.KNN))
     assert stats.edge_increase_pct is None
-    assert stats.to_dict()["edge_increase_pct"] is None
+    assert asdict(stats)["edge_increase_pct"] is None

@@ -54,10 +54,8 @@ def reference_gat_forward(params: TaskNetParams, X, edges, cfg: TaskNetConfig):
     n = X.shape[0]
     d_h = params.out_w.shape[1]
 
-    def act(x):
-        if cfg.activation == "elu":
-            return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-        return np.maximum(x, 0.0)
+    def act(x):     # ELU
+        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
     h = X
     for l, heads in enumerate(params.layers):
@@ -86,7 +84,7 @@ def small_params(d, c, cfg, seed=0):
 
 
 def test_single_node_self_loop_passes_features_through():
-    cfg = TaskNetConfig(layers=1, heads=1, head_dim=3, activation="elu",
+    cfg = TaskNetConfig(layers=1, heads=1, head_dim=3,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(2, 2, cfg)
     X = rng.normal(size=(1, 2))
@@ -146,7 +144,7 @@ def logit_from(hp, z, s_idx, d_idx, s_val, d_h):
 
 
 def test_all_ones_mask_with_zero_mask_weight_matches_reference_gat():
-    cfg = TaskNetConfig(layers=2, heads=3, head_dim=4, activation="elu",
+    cfg = TaskNetConfig(layers=2, heads=3, head_dim=4,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(5, 3, cfg, seed=2)
     for heads in p.layers:
@@ -557,17 +555,20 @@ def test_edge_gathers_are_contiguous(monkeypatch):
                         ad.param(np.ones(1))) for _ in range(H)]
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=seg.src.size))
-    gat_layer(x, heads, mask, seg, "elu", False).backward()
+    gat_layer(x, heads, mask, seg, False).backward()
     assert (H, d_h, seg.src.size) in [g.shape for g in gathered]   # z_src
     assert all(g.flags.c_contiguous for g in gathered)
 
 
 # -- the fused layer's hand-written gradient ------------------------------------
 
-@pytest.mark.parametrize("activation,final,dropout", [
-    ("elu", False, False), ("elu", True, True),
-    ("relu", False, True), ("relu", True, False)])
-def test_gat_layer_vjp_matches_finite_differences(activation, final, dropout):
+VJP_CASES = [(False, False), (True, True), (False, True), (True, False)]
+
+
+# the ids name the layer's one activation, ELU
+@pytest.mark.parametrize("final,dropout", VJP_CASES,
+                         ids=[f"elu-{f}-{d}" for f, d in VJP_CASES])
+def test_gat_layer_vjp_matches_finite_differences(final, dropout):
     r = np.random.default_rng(21)
     n, d, H, d_h = 6, 4, 3, 2
     # node 5's only in-edge is its self-loop
@@ -589,8 +590,7 @@ def test_gat_layer_vjp_matches_finite_differences(activation, final, dropout):
         v = {name: wrap(arr) for name, arr in arrays.items()}
         heads = [HeadParams(v[f"W{k}"], v[f"a{k}"], v[f"w{k}"])
                  for k in range(H)]
-        out = gat_layer(v["x"], heads, v["mask"], seg, activation, final,
-                        keep)
+        out = gat_layer(v["x"], heads, v["mask"], seg, final, keep)
         return out * ad.constant(weight), v
 
     # backward's default all-ones seed differentiates the sum of the output
@@ -720,8 +720,7 @@ def test_backward_twice_gives_the_same_bits_and_leaves_the_forward_intact():
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=edges.shape[0]))
     keep = ad.dropout_keep(np.random.default_rng(2), (H, edges.shape[0]), 0.3)
-    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), "elu", False,
-                    keep)
+    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), False, keep)
     cells = dict(zip(out._vjp.__code__.co_freevars,
                      (c.cell_contents for c in out._vjp.__closure__)))
     forward = {k: cells[k].copy() for k in ("alpha", "coef", "z")}
@@ -771,10 +770,8 @@ def edge_bytes(cfg, batch=1):
     return 8 * batch * cfg.heads * cfg.head_dim
 
 
-@pytest.mark.parametrize("activation", ["elu", "relu"])
-def test_forward_in_runs_of_destinations_is_bit_identical(monkeypatch,
-                                                          activation):
-    cfg = TaskNetConfig(layers=3, heads=2, head_dim=3, activation=activation,
+def test_forward_in_runs_of_destinations_is_bit_identical(monkeypatch):
+    cfg = TaskNetConfig(layers=3, heads=2, head_dim=3,
                         attn_dropout=0.0, layer_dropout=0.0)
     edges, n = hub_graph()
     p = small_params(5, 3, cfg, seed=2)

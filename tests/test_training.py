@@ -15,7 +15,6 @@ from maskdg.training import (
     TrainConfig,
     ablate_2x2,
     ablate_lambda,
-    config_from_dict,
     dual_ascent_lambda,
     evaluate,
     f1_metrics,
@@ -25,6 +24,7 @@ from maskdg.training import (
     mask_statistics,
     save_checkpoint,
     train,
+    typed_config,
 )
 
 
@@ -227,7 +227,8 @@ def test_training_is_bit_deterministic():
 def test_target_labels_never_influence_training():
     graphs = [toy_graph(1, domain="a"), toy_graph(2, domain="b")]
     tgt = toy_graph(3, domain="t")
-    corrupted = tgt.with_labels((tgt.labels + 1) % tgt.num_classes)
+    corrupted = dataclasses.replace(tgt,
+                                    labels=(tgt.labels + 1) % tgt.num_classes)
     cfg = small_cfg()
     r1 = train(DomainDataset(tuple(graphs), tgt), cfg)
     r2 = train(DomainDataset(tuple(graphs), corrupted), cfg)
@@ -596,7 +597,7 @@ def test_checkpoint_with_legacy_rng_state_loads(tmp_path):
 
 def test_config_roundtrip_through_dict():
     cfg = small_cfg(sparsity=0.5, dual_rho=0.3, dual_step=2.0)
-    again = config_from_dict(dataclasses.asdict(cfg))
+    again = typed_config(TrainConfig, dataclasses.asdict(cfg))
     assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
 
@@ -604,7 +605,11 @@ def test_config_rejects_unknown_keys():
     data = dataclasses.asdict(small_cfg())
     data["learning_rate"] = 1.0
     with pytest.raises(ValueError, match="unknown config"):
-        config_from_dict(data)
+        typed_config(TrainConfig, data)
+    data = dataclasses.asdict(small_cfg())
+    data["tasknet"]["width"] = 3
+    with pytest.raises(ValueError, match=r"\['tasknet\.width'\]"):
+        typed_config(TrainConfig, data)
 
 
 def test_final_mean_mask_in_unit_interval():
