@@ -167,10 +167,7 @@ def read_graph_arg(spec: str) -> Graph:
             raise ConfigError(f"expected file or feat:edges:labels, got {spec!r}")
         return load_dataset(parts[0], parts[1], parts[2],
                             domain_id=Path(parts[0]).stem)
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"graph file not found: {path}")
-    return load_graph(path)
+    return load_graph(spec)
 
 
 def read_checkpoint_arg(spec: str) -> TrainedModel:

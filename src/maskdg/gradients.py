@@ -61,7 +61,7 @@ def grad_masknet(task: tasknet.TaskNetParams, maskp: masknet.MaskNetParams,
     seeded with d(objective)/d(s) = -d(loss)/d(s) + lam/m on the m scored
     entries (self-loops are never scored).
     """
-    mask_var, scorable, mpv = masknet.mask_forward_var(maskp, X, edges, track=True)
+    mask_var, scorable, mpv = masknet.mask_forward_var(maskp, X, edges)
     m = int(scorable.sum())
     if m == 0:
         raise ValueError("no scorable edges: adversary has nothing to mask")

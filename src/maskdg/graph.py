@@ -187,92 +187,93 @@ def edge_stats(before: Graph, after) -> EdgeOriginStats:
                            avg_degree_delta=delta)
 
 
-def _parse_float_row(line: str, path, lineno: int) -> list:
-    text = line.replace(",", " ")
+def _read_lines(path) -> list:
+    """(line number, text) of each line of a text file, undecodable bytes
+    replaced; a file that cannot be read raises GraphFormatError."""
     try:
-        return [float(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}:{lineno}: bad feature value ({exc})") from None
+        with open(path, errors="replace") as f:
+            text = f.read()
+    except OSError as exc:
+        raise GraphFormatError(f"{path}: {exc.strerror or exc}") from None
+    lines = text.split("\n")     # text mode already turned \r\n and \r into \n
+    if lines[-1] == "":
+        lines.pop()
+    return list(enumerate(lines, start=1))
 
 
-def load_dataset(feature_file, edge_file, label_file, domain_id: str = "default",
-                 num_classes: Optional[int] = None) -> Graph:
-    """Load a graph from separate feature / edge / label files.
+def _parse_rows(path, rows, parse, expected: str, out):
+    """out[i] = parse(text) for the i-th (line number, text) row; `out` is a
+    list, or an int64 array that rejects a value past its range. A row that
+    fails raises GraphFormatError "<path>:<line>: expected <expected>, ..."."""
+    try:
+        for i, (lineno, text) in enumerate(rows):
+            out[i] = parse(text)
+    except (ValueError, KeyError, IndexError, OverflowError):
+        raise GraphFormatError(f"{path}:{lineno}: expected {expected}, "
+                               f"got {text!r}") from None
+    return out
+
+
+def _read_features(path, rows, width: Optional[int] = None) -> np.ndarray:
+    """The (rows, width) float64 block of comma- or space-separated values;
+    `width` defaults to the first row's, so `rows` must not be empty."""
+    if width is None:
+        width = len(rows[0][1].replace(",", " ").split())
+
+    def parse(text):
+        row = text.replace(",", " ").split()
+        if len(row) != width:
+            raise ValueError
+        return list(map(float, row))
+
+    out = _parse_rows(path, rows, parse, f"{width} feature values",
+                      [None] * len(rows))
+    return np.asarray(out, dtype=np.float64).reshape(len(rows), width)
+
+
+def _graph(path, *fields) -> Graph:
+    """Graph(*fields), its complaints prefixed with `path`."""
+    try:
+        return Graph(*fields)
+    except (GraphFormatError, OverflowError) as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+
+
+def load_dataset(feature_file, edge_file, label_file,
+                 domain_id: str = "default") -> Graph:
+    """Load a graph from separate feature / edge / label files; blank lines
+    are skipped.
 
     The edge file lists undirected pairs; each becomes two directed entries
-    tagged ORIGINAL. Parse errors report file and line number.
+    tagged ORIGINAL. Errors report file and line number.
     """
-    feature_file = Path(feature_file)
-    edge_file = Path(edge_file)
-    label_file = Path(label_file)
-    for p in (feature_file, edge_file, label_file):
-        if not p.exists():
-            raise GraphFormatError(f"input file not found: {p}")
-
-    rows = []
-    with feature_file.open() as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            row = _parse_float_row(line, feature_file, lineno)
-            if rows and len(row) != len(rows[0]):
-                raise GraphFormatError(
-                    f"{feature_file}:{lineno}: expected {len(rows[0])} columns, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
+    feature_rows, edge_rows, label_rows = (
+        [row for row in _read_lines(p) if row[1].strip()]
+        for p in (feature_file, edge_file, label_file))
+    if not feature_rows:
         raise GraphFormatError(f"{feature_file}: no feature rows")
-    features = np.asarray(rows, dtype=np.float64)
+    features = _read_features(feature_file, feature_rows)
     n = features.shape[0]
-
-    labels = []
-    with label_file.open() as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                labels.append(int(line.strip()))
-            except ValueError:
-                raise GraphFormatError(
-                    f"{label_file}:{lineno}: label must be an integer"
-                ) from None
-    if len(labels) != n:
+    if len(label_rows) != n:
         raise GraphFormatError(
-            f"{label_file}: {len(labels)} labels for {n} nodes"
-        )
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        observed = labels[labels != UNLABELED]
-        num_classes = int(observed.max()) + 1 if observed.size else 1
+            f"{label_file}: {len(label_rows)} labels for {n} nodes")
+    labels = _parse_rows(label_file, label_rows, int, "an integer label",
+                         np.empty(n, dtype=np.int64))
+    observed = labels[labels != UNLABELED]
+    num_classes = int(observed.max()) + 1 if observed.size else 1
 
-    pairs = []
-    with edge_file.open() as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.replace(",", " ").strip()
-            if not text:
-                continue
-            toks = text.split()
-            if len(toks) != 2:
-                raise GraphFormatError(
-                    f"{edge_file}:{lineno}: expected 'src dst', got {line.strip()!r}"
-                )
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{edge_file}:{lineno}: endpoints must be integers"
-                ) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(
-                    f"{edge_file}:{lineno}: edge ({u},{v}) outside [0,{n})"
-                )
-            pairs.append((u, v))
-            if u != v:
-                pairs.append((v, u))
+    def pair(text):
+        u, v = map(int, text.replace(",", " ").split())
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError
+        return u, v
 
-    edges = coalesce(make_edges(pairs, EdgeOrigin.ORIGINAL)) if pairs else \
-        np.empty((0, 3), dtype=np.int64)
-    return Graph(features, edges, labels, num_classes, domain_id)
+    pairs = _parse_rows(edge_file, edge_rows, pair, f"'src dst' in [0, {n})",
+                        np.empty((len(edge_rows), 2), dtype=np.int64))
+    edges = coalesce(make_edges(np.vstack([pairs, pairs[:, ::-1]]),
+                                EdgeOrigin.ORIGINAL))
+    return _graph(f"{feature_file}:{edge_file}:{label_file}", features, edges,
+                  labels, num_classes, domain_id)
 
 
 def write_atomic(path, data) -> None:
@@ -314,24 +315,26 @@ def save_graph(g: Graph, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _edge_row(text: str) -> tuple:
+    toks = text.split()
+    return int(toks[0]), int(toks[1]), EdgeOrigin[toks[2]]
+
+
 def load_graph(path) -> Graph:
     """Read a graph file; any malformed, truncated or inconsistent input
     raises GraphFormatError naming the file and, where there is one, the
     line."""
-    path = Path(path)
-    if not path.exists():
-        raise GraphFormatError(f"graph file not found: {path}")
-    lines = path.read_text(errors="replace").splitlines()
-    if not lines or lines[0] != _MAGIC:
+    rows = _read_lines(path)
+    if not rows or rows[0][1] != _MAGIC:
         raise GraphFormatError(f"{path}:1: not a graph file (missing header)")
 
     def fail(idx: int, what: str) -> GraphFormatError:
         return GraphFormatError(f"{path}:{idx + 1}: {what}")
 
     def expect(idx: int, key: str) -> str:
-        if idx >= len(lines) or not lines[idx].startswith(key):
+        if idx >= len(rows) or not rows[idx][1].startswith(key):
             raise fail(idx, f"expected '{key} ...'")
-        return lines[idx][len(key):].strip()
+        return rows[idx][1][len(key):].strip()
 
     def count(idx: int, key: str) -> int:
         text = expect(idx, key)
@@ -339,46 +342,24 @@ def load_graph(path) -> Graph:
             raise fail(idx, f"'{key}' needs a nonnegative integer")
         return int(text)
 
-    def need(end: int, block: str) -> None:
-        if len(lines) < end:
-            raise fail(len(lines), f"file ends inside the {block} block")
+    def block(start: int, size: int, name: str) -> list:
+        if len(rows) < start + size:
+            raise fail(len(rows), f"file ends inside the {name} block")
+        return rows[start:start + size]
 
     n = count(1, "nodes")
     d = count(2, "features")
     c = count(3, "classes")
     domain = expect(4, "domain")
     expect(5, "X")
-    need(6 + n, "X")
-    feat_rows = []
-    for i in range(n):
-        feat_rows.append(_parse_float_row(lines[6 + i], path, 7 + i))
-    try:
-        features = np.asarray(feat_rows, dtype=np.float64).reshape(n, d)
-    except ValueError:
-        i = next(i for i, row in enumerate(feat_rows) if len(row) != d)
-        raise fail(6 + i, f"expected {d} feature values, "
-                          f"got {len(feat_rows[i])}") from None
+    features = _read_features(path, block(6, n, "X"), d)
     idx = 6 + n
     expect(idx, "labels")
-    need(idx + 1 + n, "labels")
-    labels = []
-    try:
-        for i in range(n):
-            labels.append(int(lines[idx + 1 + i]))
-    except ValueError:
-        raise fail(idx + 1 + i, "label must be an integer") from None
+    labels = _parse_rows(path, block(idx + 1, n, "labels"), int,
+                         "an integer label", np.empty(n, dtype=np.int64))
     idx += 1 + n
     num_edges = count(idx, "edges")
-    need(idx + 1 + num_edges, "edges")
-    edges = np.empty((num_edges, 3), dtype=np.int64)
-    try:
-        for i in range(num_edges):
-            toks = lines[idx + 1 + i].split()
-            edges[i] = (int(toks[0]), int(toks[1]), int(EdgeOrigin[toks[2]]))
-    except (ValueError, KeyError, IndexError, OverflowError):
-        raise fail(idx + 1 + i, "expected 'src dst ORIGIN', got "
-                                f"{lines[idx + 1 + i]!r}") from None
-    try:
-        return Graph(features, edges, labels, c, domain)
-    except (GraphFormatError, OverflowError) as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    edges = _parse_rows(path, block(idx + 1, num_edges, "edges"), _edge_row,
+                        "'src dst ORIGIN'",
+                        np.empty((num_edges, 3), dtype=np.int64))
+    return _graph(path, features, edges, labels, c, domain)

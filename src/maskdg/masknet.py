@@ -141,15 +141,14 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     return ad.Var(values, parents=tuple(params), vjp=vjp), scorable
 
 
-def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray,
-                     track: bool = True):
+def mask_forward_var(p: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     """Tape version of the scorer for gradient computation.
 
     Returns (mask_var, scorable, pv): mask_var is the full-length mask with
     constant ones at self-loop positions, wherever they sit, and pv the
     MaskNetParams of parameter Vars.
     """
-    pv = ad.param_vars(p, track)
+    pv = ad.param_vars(p, track=True)
     return (*_score_edges(pv, X, edges), pv)
 
 

@@ -15,6 +15,7 @@ measured, and `passed`; `seed` offsets the pinned seed, and 0 is the gate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Sequence
@@ -29,6 +30,7 @@ from .tasknet import (TaskNetConfig, TaskNetParams, cross_entropy,
                       init_tasknet, loss_over_masks, tasknet_forward)
 
 GRID_EDGE_CAP = 6
+GRID_CHUNK = 200_000    # most points in one iter_mask_grid chunk
 DEFAULT_RESOLUTION = 0.05
 KKT_BOUNDARY_TOL = 1e-9
 LAM = 0.01      # the scorer's sparsity coefficient in criteria 1 and 2
@@ -58,10 +60,6 @@ class SurrogateProblem:
         s = np.atleast_2d(s)
         return self.base_loss + s @ self.c - self.tau * s.sum(axis=1)
 
-    def loss(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_2d(s)
-        return self.base_loss + s @ self.c
-
 
 def surrogate_optimal_mask(prob: SurrogateProblem):
     """Closed-form maximizer of the penalized affine objective.
@@ -74,15 +72,14 @@ def surrogate_optimal_mask(prob: SurrogateProblem):
     return s_star, value
 
 
-def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION,
-                   chunk: int = 200_000):
+def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION):
     """Yield chunks of the full grid {0, resolution, ..., 1}^m, in row-major
     order: the last column varies fastest.
 
-    Column `col` holds each level for a run of L ** (m - 1 - col) points,
-    cycling through the L levels, so a chunk's column is the level vector
-    rotated to the chunk's first run, tiled over the runs the chunk touches
-    and repeated run by run, with the first and last runs cut to the chunk.
+    The trailing columns, as many as fit GRID_CHUNK points (at least one),
+    are a Cartesian product written by broadcasting each level vector along
+    its axis; each chunk is that product under one setting of the leading
+    columns.
     """
     if m > GRID_EDGE_CAP:
         raise ValueError(f"grid too large: m={m} exceeds cap {GRID_EDGE_CAP}")
@@ -90,23 +87,16 @@ def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION,
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 12)
     L = levels.size
-    total = L ** m
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        pts = np.empty((stop - start, m))
-        for col in range(m):
-            run = L ** (m - 1 - col)
-            first, last = start // run, (stop - 1) // run
-            touched = last - first + 1
-            cycle = np.tile(np.roll(levels, -(first % L)), -(-touched // L))
-            if run == 1:    # np.repeat by a count per element is 3x slower
-                pts[:, col] = cycle[:touched]
-                continue
-            counts = np.full(touched, run)
-            counts[0] -= start - first * run
-            counts[-1] -= (last + 1) * run - stop
-            pts[:, col] = np.repeat(cycle[:touched], counts)
-        yield pts
+    tail = m
+    while tail > 1 and L ** tail > GRID_CHUNK:
+        tail -= 1
+    for lead in itertools.product(levels, repeat=m - tail):
+        pts = np.empty((L,) * tail + (m,))
+        pts[..., :m - tail] = lead
+        for col in range(tail):
+            axis = (L,) + (1,) * (tail - 1 - col)    # levels along axis col
+            pts[..., m - tail + col] = levels.reshape(axis)
+        yield pts.reshape(L ** tail, m)
 
 
 @dataclass
@@ -283,7 +273,7 @@ def masknet_gradient_identity(task: TaskNetParams, maskp: MaskNetParams,
     """
     direct = grad_masknet(task, maskp, X, edges, labels, lam, cfg)
 
-    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
+    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges)
     scored = np.flatnonzero(scorable)
     jac = {name: np.zeros((scored.size,) + arr.shape)
            for name, arr in maskp.named()}

@@ -62,8 +62,11 @@ class TrainConfig:
         if self.inference_mask_mode not in ("all-ones", "masknet"):
             raise ValueError("inference_mask_mode must be all-ones or masknet")
         if self.dual_rho is not None:
-            if not (0 < self.dual_rho <= 1):
-                raise ValueError("dual_rho must lie in (0, 1]")
+            rho = self.dual_rho
+            if isinstance(rho, bool) or not isinstance(rho, (int, float)) \
+                    or not 0 < rho <= 1:
+                raise ValueError(f"dual_rho must be null or a number in "
+                                 f"(0, 1], got {rho!r}")
             if self.dual_step <= 0:
                 raise ValueError("dual ascent needs a positive dual_step")
 

@@ -354,6 +354,8 @@ def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
     ["synth", "--spurious-strengths", "[0.1,Infinity,0.2]"],
     ["synth", "--spurious-strength", "1.5"],
     ["synth", "--spurious-strength", "0.9"],
+    ["train", "--dual-rho", "true", "--dual-step", "1"],
+    ["train", "--dual-rho", "x", "--dual-step", "1"],
 ], ids=["synth-no-domains", "synth-negative-nodes", "train-epochs-not-int",
         "grid-not-numbers", "grid-negative", "train-mask-d-prime-0",
         "train-attn-dropout-over-1", "train-layer-dropout-over-1",
@@ -363,7 +365,8 @@ def test_enrichment_inputs_out_of_range_exit_1(domains, tmp_path, capsys,
         "synth-backbone-degree-over-nodes", "synth-spurious-strengths-nan",
         "synth-spurious-strengths-negative", "synth-spurious-strengths-inf",
         "synth-spurious-strength-over-1",
-        "synth-spurious-strength-ramped-over-1"])
+        "synth-spurious-strength-ramped-over-1", "train-dual-rho-bool",
+        "train-dual-rho-string"])
 def test_configuration_values_out_of_range_exit_1(domains, tmp_path, capsys,
                                                   argv):
     source = {"synth": [], "enrich": ["--graph", str(domains[0])]}.get(
@@ -428,6 +431,19 @@ def test_mask_dump_describes_the_inference_graph(domains, tmp_path):
 
 # -- malformed graph and checkpoint inputs: "error: <path>...", exit 1 -------
 
+def write_triplet(graph_path, where):
+    """The graph at `graph_path` as feat.csv, edges.txt (each undirected
+    pair once) and labels.txt in `where`; returns the three paths."""
+    g = load_graph(graph_path)
+    paths = [where / "feat.csv", where / "edges.txt", where / "labels.txt"]
+    paths[0].write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in g.features.tolist()))
+    paths[1].write_text("".join(f"{u} {v}\n" for u, v, _ in g.edges.tolist()
+                                if u <= v))
+    paths[2].write_text("".join(f"{y}\n" for y in g.labels.tolist()))
+    return paths
+
+
 @pytest.mark.parametrize("argv, message", [
     ("enrich --graph cut.graph", "cut.graph:21: file ends inside the X block"),
     ("enrich --graph bogus.graph", "bogus.graph:{row}: expected 'src dst ORI"),
@@ -436,8 +452,15 @@ def test_mask_dump_describes_the_inference_graph(domains, tmp_path):
      "absent.ckpt: not a readable checkpoint ([Errno 2] No such file"),
     ("eval --checkpoint junk.ckpt --graph cut.graph",
      "junk.ckpt: not a readable checkpoint"),
+    ("enrich --graph feat.csv:edges.txt:huge.txt",
+     "huge.txt:1: expected an integer label, got '99999999999999999999999'"),
+    ("enrich --graph bom.csv:edges.txt:labels.txt",
+     "bom.csv:1: expected 8 feature values, got '\ufffd\ufffd"),
+    ("enrich --graph dir.csv:edges.txt:labels.txt", "dir.csv: Is a directory"),
+    ("enrich --graph dir.graph", "dir.graph: Is a directory"),
 ], ids=["cut-graph", "bogus-origin", "train-cut-source", "missing-checkpoint",
-        "non-npz-checkpoint"])
+        "non-npz-checkpoint", "triplet-label-overflow",
+        "triplet-non-utf8-features", "triplet-directory", "graph-directory"])
 def test_malformed_input_exits_1(domains, tmp_path, capsys, monkeypatch,
                                  argv, message):
     monkeypatch.chdir(tmp_path)
@@ -447,6 +470,12 @@ def test_malformed_input_exits_1(domains, tmp_path, capsys, monkeypatch,
     lines[row] = lines[row].rsplit(" ", 1)[0] + " BOGUS"
     (tmp_path / "bogus.graph").write_text("\n".join(lines) + "\n")
     (tmp_path / "junk.ckpt").write_text("not an npz archive\n")
+    feat, _, labels = write_triplet(domains[0], tmp_path)
+    (tmp_path / "huge.txt").write_text(
+        "99999999999999999999999\n" + labels.read_text().split("\n", 1)[1])
+    (tmp_path / "bom.csv").write_bytes(b"\xff\xfe" + feat.read_bytes())
+    (tmp_path / "dir.csv").mkdir()
+    (tmp_path / "dir.graph").mkdir()
     rc = main(argv.split() + ["--out", "out"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -467,6 +496,24 @@ def test_cut_or_corrupted_graph_exits_0_or_1(domains, tmp_path, capsys,
     path.write_bytes(raw[:at] if cut else raw[:at] + junk + raw[at + len(junk):])
     rc = main(["enrich", "--graph", str(path), "--k", "3", "--clusters", "3",
                "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err
+    assert rc == 0 or err.startswith("error: "), err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, 2), cut=st.booleans(), at=st.integers(0, 10 ** 6),
+       junk=st.binary(min_size=1, max_size=8))
+def test_cut_or_corrupted_triplet_exits_0_or_1(domains, tmp_path, capsys,
+                                               which, cut, at, junk):
+    paths = write_triplet(domains[0], tmp_path)
+    raw = paths[which].read_bytes()
+    at %= len(raw)
+    paths[which].write_bytes(raw[:at] if cut
+                             else raw[:at] + junk + raw[at + len(junk):])
+    rc = main(["enrich", "--graph", ":".join(map(str, paths)), "--k", "3",
+               "--clusters", "3", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc in (0, 1) and "Traceback" not in err
     assert rc == 0 or err.startswith("error: "), err
@@ -592,8 +639,11 @@ def run_eval_config(domains, tmp_path, checkpoint, config):
     [("seed", 1.5)], [("seed", -1)], [("epochs", 1.5)],
     [("tasknet.heads", 2.0)], [("enrich.k", 2.5)], [("n_ascent", True)],
     [("lr_task", "fast")], [("mask_enabled", 1)],
+    [("dual_rho", True), ("dual_step", 1.0)],
+    [("dual_rho", "x"), ("dual_step", 1.0)],
 ], ids=["seed-float", "seed-negative", "epochs-float", "heads-float",
-        "k-float", "n-ascent-bool", "lr-string", "mask-enabled-int"])
+        "k-float", "n-ascent-bool", "lr-string", "mask-enabled-int",
+        "dual-rho-bool", "dual-rho-string"])
 def test_config_file_value_of_wrong_type_exits_1(domains, tmp_path, capsys,
                                                  pairs):
     rc = run_train_config(domains, tmp_path,

@@ -66,7 +66,7 @@ def two_sweep_grad_masknet(task, maskp, X, edges, labels, lam, cfg):
     classifier reads the scorer's output directly, the loss is swept for
     d(loss)/d(s), then -loss + lam * mean(s) is built on the tape and swept
     through both networks."""
-    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
+    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges)
     m = int(scorable.sum())
     logits = tasknet_forward_var(ad.param_vars(task, track=False), X, edges,
                                  mask_var, cfg)

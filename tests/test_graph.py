@@ -88,7 +88,8 @@ def test_load_reports_dimension_mismatch(tmp_path):
 
 def test_load_missing_file(tmp_path):
     f, e, l = write_inputs(tmp_path, [[0.0]], [], [0])
-    with pytest.raises(GraphFormatError, match="not found"):
+    with pytest.raises(GraphFormatError,
+                       match="absent.csv: No such file or directory"):
         load_dataset(tmp_path / "absent.csv", e, l)
 
 

@@ -122,7 +122,7 @@ def hub_instance():
 
 def test_scorer_jacobian_rows_match_central_differences():
     p, X, edges = hub_instance()
-    mask_var, scorable, pv = mask_forward_var(p, X, edges, track=True)
+    mask_var, scorable, pv = mask_forward_var(p, X, edges)
     h = 1e-6
     for e in np.flatnonzero(scorable):
         seed = np.zeros(edges.shape[0])
@@ -145,7 +145,7 @@ def test_scorer_jacobian_rows_match_central_differences():
 
 def test_self_loop_seed_gives_zero_scorer_gradient():
     p, X, edges = hub_instance()
-    mask_var, scorable, pv = mask_forward_var(p, X, edges, track=True)
+    mask_var, scorable, pv = mask_forward_var(p, X, edges)
     np.testing.assert_array_equal(mask_var.data[~scorable], 1.0)
     seed = np.zeros(edges.shape[0])
     seed[np.flatnonzero(~scorable)[2]] = 1.0

@@ -1,9 +1,9 @@
-import itertools
 import re
 
 import numpy as np
 import pytest
 
+from maskdg import theory
 from maskdg.graph import EdgeOrigin, make_edges
 from maskdg.masknet import init_masknet
 from maskdg.tasknet import TaskNetConfig, init_tasknet
@@ -49,10 +49,12 @@ def test_indicator_matches_grid_brute_force(seed):
 
 
 # -- weak duality --------------------------------------------------------------
+# The affine instances below keep the default tau = 0, at which
+# `penalized_objective` is the loss base_loss + s @ c itself.
 
 def test_affine_dual_bound_example():
     prob = SurrogateProblem(c=np.array([0.5, 0.1]), rho=0.5)
-    report = dual_upper_bound(prob.loss, m=2, rho=0.5,
+    report = dual_upper_bound(prob.penalized_objective, m=2, rho=0.5,
                               lambda_grid=[0.0, 0.5, 1.0, 5.0])
     assert report.primal == pytest.approx(0.5)
     np.testing.assert_array_equal(report.primal_point, [1.0, 0.0])
@@ -67,7 +69,7 @@ def test_dual_bound_holds_on_random_affine_instances():
     for _ in range(10):
         m = int(rng.integers(1, 5))
         prob = SurrogateProblem(c=rng.normal(size=m), rho=float(rng.uniform(0.2, 1.0)))
-        report = dual_upper_bound(prob.loss, m=m, rho=prob.rho,
+        report = dual_upper_bound(prob.penalized_objective, m=m, rho=prob.rho,
                                   lambda_grid=[0.0, 0.5, 1.0, 5.0],
                                   resolution=0.1)
         assert report.all_hold
@@ -106,35 +108,41 @@ def test_grid_enumerates_exactly():
     assert set(map(tuple, pts)) == expected
 
 
-def division_mask_grid(m, resolution, chunk):
-    """The grid built point by point from each index's base-L digits, by an
-    int64 `%` and `//` per column: the reference order."""
+def division_mask_rows(m, resolution, start, stop):
+    """Grid rows start..stop-1 built point by point from each index's base-L
+    digits, by an int64 `%` and `//` per column: the reference order."""
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 12)
-    L = levels.size
-    total = L ** m
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        pts = np.empty((idx.size, m))
-        rem = idx
-        for col in range(m - 1, -1, -1):
-            pts[:, col] = levels[rem % L]
-            rem = rem // L
-        yield pts
+    rem = np.arange(start, stop, dtype=np.int64)
+    pts = np.empty((rem.size, m))
+    for col in range(m - 1, -1, -1):
+        pts[:, col] = levels[rem % levels.size]
+        rem = rem // levels.size
+    return pts
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000, 200_000])
+@pytest.mark.parametrize("cap", [1, 7, 1000, 200_000])
 @pytest.mark.parametrize("resolution", [0.05, 0.25, 0.3, 1.0])
 @pytest.mark.parametrize("m", range(1, 6))
-def test_grid_matches_base_l_digits_chunk_by_chunk(m, resolution, chunk):
-    # Chunks of 1, 7 and 1000 points cut the runs of L ** k points unevenly.
-    # Past 2,000 chunks (21^3 points and more at 1 or 7 points per chunk)
-    # only the first 2,000 are compared, to keep the test short.
-    pairs = itertools.zip_longest(division_mask_grid(m, resolution, chunk),
-                                  iter_mask_grid(m, resolution, chunk))
-    for want, got in itertools.islice(pairs, 2000):
-        assert want is not None and got is not None, "chunk counts differ"
-        assert got.shape == want.shape and got.flags.c_contiguous
+def test_grid_matches_base_l_digits_chunk_by_chunk(m, resolution, cap,
+                                                   monkeypatch):
+    # Each chunk against the reference rows at the same offsets. Caps of 1,
+    # 7 and 1000 points split the columns into leading settings and a
+    # trailing product at every place; a chunk holds at least one column, so
+    # only a cap below L is exceeded. Past 2,000 chunks (21^3 points and
+    # more at a cap of 1 or 7) only the first 2,000 are compared.
+    monkeypatch.setattr(theory, "GRID_CHUNK", cap)
+    L = np.arange(0.0, 1.0 + resolution / 2, resolution).size
+    offset = 0
+    for i, got in enumerate(iter_mask_grid(m, resolution)):
+        if i == 2000:
+            break
+        assert 0 < got.shape[0] <= max(cap, L) and got.flags.c_contiguous
+        want = division_mask_rows(m, resolution, offset, offset + len(got))
+        assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        offset += len(got)
+    else:
+        assert offset == L ** m
 
 
 @pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5, np.nan, np.inf])
@@ -147,7 +155,8 @@ def test_grid_resolution_outside_unit_interval_rejected(resolution):
 def test_dual_bound_rejects_an_empty_grid(resolution):
     prob = SurrogateProblem(c=np.array([0.5, 0.1]))
     with pytest.raises(ValueError, match="resolution"):
-        dual_upper_bound(prob.loss, 2, 0.5, [0.0, 1.0], resolution=resolution)
+        dual_upper_bound(prob.penalized_objective, 2, 0.5, [0.0, 1.0],
+                         resolution=resolution)
 
 
 @pytest.mark.parametrize("rho", [-0.1, -1.0, np.nan])
@@ -156,7 +165,7 @@ def test_dual_bound_rejects_a_budget_no_grid_mask_meets(rho):
     # the bound would compare D(lam) with P = -inf and always "hold".
     prob = SurrogateProblem(c=np.array([0.5, 0.1]))
     with pytest.raises(ValueError, match="budget"):
-        dual_upper_bound(prob.loss, 2, rho, [0.0, 1.0])
+        dual_upper_bound(prob.penalized_objective, 2, rho, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("loss_fn, message", [
@@ -176,7 +185,7 @@ def test_dual_bound_rejects_a_non_finite_loss(loss_fn, message):
 def test_negative_multiplier_rejected():
     prob = SurrogateProblem(c=np.array([0.1]))
     with pytest.raises(ValueError):
-        dual_upper_bound(prob.loss, 1, 0.5, [-1.0])
+        dual_upper_bound(prob.penalized_objective, 1, 0.5, [-1.0])
 
 
 # -- strong duality on the surrogate --------------------------------------------
@@ -197,7 +206,7 @@ def test_surrogate_strong_duality_at_breakpoints(seed):
     c = np.abs(rng.normal(scale=0.5, size=m)) + 0.05
     budget_edges = int(rng.integers(1, m + 1))
     prob = SurrogateProblem(c=c, rho=budget_edges / m)
-    report = dual_upper_bound(prob.loss, m=m, rho=prob.rho,
+    report = dual_upper_bound(prob.penalized_objective, m=m, rho=prob.rho,
                               lambda_grid=[0.0], resolution=0.05)
     lam_grid = [0.0] + [m * ce for ce in c]
     duals = [surrogate_dual_value(prob, lam) for lam in lam_grid]
@@ -300,7 +309,7 @@ def test_single_edge_score_jacobian_sign():
     maskp = init_masknet(2, 3, 2, rng)
     X = rng.normal(size=(2, 2))
     edges = make_edges([(0, 1)], EdgeOrigin.ORIGINAL)
-    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges, track=True)
+    mask_var, scorable, mpv = mask_forward_var(maskp, X, edges)
     mask_var.backward(np.array([1.0]))
     assert mpv.mlp_b2.grad[0] > 0.0
     s = mask_var.data[0]

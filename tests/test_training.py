@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -599,6 +600,18 @@ def test_config_roundtrip_through_dict():
     cfg = small_cfg(sparsity=0.5, dual_rho=0.3, dual_step=2.0)
     again = typed_config(TrainConfig, dataclasses.asdict(cfg))
     assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
+
+
+@pytest.mark.parametrize("value", [True, False, "x", [0.5]])
+def test_dual_rho_must_be_a_number_or_null(value):
+    # A bool used to pass as rho = 1 (or 0), a string to fail in `<`.
+    message = re.escape(f"dual_rho must be null or a number in (0, 1], "
+                        f"got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(dual_rho=value, dual_step=1.0)
+    with pytest.raises(ValueError, match=message):
+        typed_config(TrainConfig, {"dual_rho": value, "dual_step": 1.0})
+    assert TrainConfig(dual_rho=1, dual_step=1.0).dual_rho == 1
 
 
 def test_config_rejects_unknown_keys():
