@@ -27,8 +27,9 @@ import numpy as np
 
 from . import __version__, theory
 from .enrich import EnrichConfig, Enricher
-from .graph import (DomainDataset, Graph, GraphFormatError, edge_stats,
-                    load_dataset, load_graph, save_graph, write_atomic)
+from .graph import (UNLABELED, DomainDataset, Graph, GraphFormatError,
+                    edge_stats, load_dataset, load_graph, save_graph,
+                    write_atomic)
 from .masknet import dump_mask_csv, mask_forward
 from .synth import SynthConfig, generate, verify_shift
 from .training import (TrainConfig, TrainedModel, ablate_2x2, ablate_lambda,
@@ -189,6 +190,14 @@ def _check_enrichable(cfg: EnrichConfig, graphs) -> None:
             raise ConfigError(str(exc)) from None
 
 
+def _check_run_graphs(cfg: EnrichConfig, graphs) -> None:
+    """As _check_enrichable; each graph also needs a labeled node."""
+    for g in graphs:
+        if not (g.labels != UNLABELED).any():
+            raise ConfigError(f"graph {g.domain_id!r} has no labeled node")
+    _check_enrichable(cfg, graphs)
+
+
 # -- manifest / artifacts -----------------------------------------------------
 
 def _json_bytes(obj) -> bytes:
@@ -263,9 +272,8 @@ def cmd_enrich(args) -> int:
                      {"enrich": dataclasses.asdict(cfg), "graph": args.graph},
                      args.seed)
     rng = np.random.default_rng(args.seed)
-    enriched = Enricher(g, cfg, rng).sample(rng)
-    out_graph = Graph(g.features, enriched.enriched_edges, g.labels,
-                      g.num_classes, g.domain_id)
+    enriched = Enricher(g, cfg, rng).sample(rng).enriched_edges
+    out_graph = dataclasses.replace(g, edges=enriched)
     path = ctx.out / "enriched.graph"
     save_graph(out_graph, path)
     stats = edge_stats(g, enriched)
@@ -282,8 +290,18 @@ def cmd_enrich(args) -> int:
 def _load_sources_target(args, cfg: TrainConfig) -> DomainDataset:
     sources = tuple(read_graph_arg(s) for s in args.source)
     target = read_graph_arg(args.target) if args.target else None
-    _check_enrichable(cfg.enrich, sources + ((target,) if target else ()))
-    return DomainDataset(source_graphs=sources, target_graph=target)
+    try:
+        ds = DomainDataset(source_graphs=sources, target_graph=target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _check_run_graphs(cfg.enrich, sources + ((target,) if target else ()))
+    return ds
+
+
+def _evaluate_modes(model: TrainedModel, graph: Graph) -> dict:
+    """The metrics of `model` on `graph` under each inference mask mode."""
+    return {mode: dataclasses.asdict(evaluate(model, graph, mask_mode=mode))
+            for mode in ("all-ones", "masknet")}
 
 
 def cmd_train(args) -> int:
@@ -302,37 +320,33 @@ def cmd_train(args) -> int:
                      f"{r.mean_mask!r},{r.lam!r},{r.descent_steps},{r.ascent_steps}")
     ctx.write_text("history.csv", "\n".join(lines) + "\n")
 
-    metrics = {"final_lambda": result.model.final_lambda,
-               "checkpoint": ckpt.name}
     g0 = ds.source_graphs[0]
-    enriched = inference_graph(cfg, g0)
-    mask = mask_forward(result.model.mask, g0.features, enriched.enriched_edges)
-    dump_mask_csv(ctx.out / "mask_dump.csv", enriched.enriched_edges, mask)
-    metrics["mask_stats"] = dataclasses.asdict(mask_statistics(enriched, mask))
-    if ds.target_graph is not None:
-        for mode in ("all-ones", "masknet"):
-            metrics[f"target_{mode.replace('-', '_')}"] = dataclasses.asdict(
-                evaluate(result.model, ds.target_graph, mask_mode=mode))
-    ctx.write_json("metrics.json", metrics)
-    ctx.finish()
+    edges = inference_graph(cfg, g0)
+    mask = mask_forward(result.model.mask, g0.features, edges)
+    dump_mask_csv(ctx.out / "mask_dump.csv", edges, mask)
+    metrics = {"final_lambda": result.model.final_lambda,
+               "checkpoint": ckpt.name,
+               "mask_stats": mask_statistics(edges, mask)}
     print(f"checkpoint -> {ckpt}")
     if ds.target_graph is not None:
-        print(json.dumps({k: v for k, v in metrics.items()
-                          if k.startswith("target_")}, indent=2))
+        metrics["target"] = _evaluate_modes(result.model, ds.target_graph)
+        print(json.dumps(metrics["target"], indent=2))
+    ctx.write_json("metrics.json", metrics)
+    ctx.finish()
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     model = read_checkpoint_arg(args.checkpoint)
     g = read_graph_arg(args.graph)
-    _check_enrichable(model.cfg.enrich, [g])
+    if g.num_features != model.mask.proj_w.shape[1]:
+        raise ConfigError(f"{args.graph}: {g.num_features} features, the "
+                          f"checkpoint {model.mask.proj_w.shape[1]}")
+    _check_run_graphs(model.cfg.enrich, [g])
     ctx = RunContext(args.out, "eval",
                      {"checkpoint": args.checkpoint, "graph": args.graph},
                      model.cfg.seed)
-    payload = {}
-    for mode in ("all-ones", "masknet"):
-        payload[mode] = dataclasses.asdict(
-            evaluate(model, g, mask_mode=mode))
+    payload = _evaluate_modes(model, g)
     ctx.write_json("metrics.json", payload)
     ctx.finish()
     print(json.dumps(payload, indent=2))
@@ -353,11 +367,6 @@ def cmd_ablate_lambda(args) -> int:
                      {"train": dataclasses.asdict(cfg), "grid": grid}, cfg.seed)
     rows = ablate_lambda(ds, cfg, grid)
     ctx.write_json("lambda_table.json", {"rows": rows})
-    header = sorted({k for r in rows for k in r})
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(repr(r.get(k)) for k in header))
-    ctx.write_text("lambda_table.csv", "\n".join(lines) + "\n")
     ctx.finish()
     for r in rows:
         print(r)

@@ -282,9 +282,8 @@ def _leading_eigenpairs(lap: np.ndarray, clusters: int):
     return eigvals[:clusters], eigvecs[:, :clusters]
 
 
-def spectral_edges(X: np.ndarray, clusters: int,
-                   bandwidth="median",
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def spectral_edges(X: np.ndarray, clusters: int, bandwidth="median", *,
+                   rng: np.random.Generator) -> np.ndarray:
     """All directed intra-cluster pairs after spectral clustering of X.
 
     RBF affinity with a median-distance bandwidth by default, symmetric
@@ -299,7 +298,6 @@ def spectral_edges(X: np.ndarray, clusters: int,
         raise ValueError(
             f"{n} nodes exceeds the (N, N) Laplacian cap ({LAPLACIAN_CAP})"
         )
-    rng = rng or np.random.default_rng()
     lap = _normalized_laplacian(X, bandwidth)
     eigvals, eigvecs = _leading_eigenpairs(lap, clusters)
     # Eigenvalue 1 marks kernel-null directions (the RBF kernel is PSD, so

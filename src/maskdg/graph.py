@@ -57,6 +57,8 @@ class Graph:
             raise GraphFormatError("feature matrix must be 2-dimensional")
         if not np.all(np.isfinite(feats)):
             raise GraphFormatError("feature matrix contains non-finite entries")
+        if "\n" in self.domain_id or "\r" in self.domain_id:
+            raise GraphFormatError("domain id contains a line break")
         n = feats.shape[0]
         if labels.shape != (n,):
             raise GraphFormatError(
@@ -104,6 +106,8 @@ class DomainDataset:
             raise ValueError("need at least one source graph")
         d = graphs[0].num_features
         c = graphs[0].num_classes
+        if d < 1:
+            raise ValueError(f"domain {graphs[0].domain_id!r} has no features")
         for g in graphs + ((self.target_graph,) if self.target_graph else ()):
             if g.num_features != d or g.num_classes != c:
                 raise ValueError(
@@ -167,13 +171,8 @@ def make_edges(pairs: Iterable, origin: EdgeOrigin) -> np.ndarray:
     return np.hstack([arr, tags])
 
 
-def edge_stats(before: Graph, after) -> EdgeOriginStats:
-    """Compare edge counts before/after enrichment.
-
-    `after` is anything exposing `.enriched_edges` (or a raw edge array).
-    """
-    enriched = getattr(after, "enriched_edges", after)
-    enriched = np.asarray(enriched, dtype=np.int64).reshape(-1, 3)
+def edge_stats(before: Graph, enriched: np.ndarray) -> EdgeOriginStats:
+    """Compare the edge counts of `before` with its enriched (E, 3) edges."""
     counts = {origin.name: int(np.sum(enriched[:, 2] == int(origin)))
               for origin in EdgeOrigin}
     n_before = before.num_edges
@@ -333,11 +332,11 @@ def load_graph(path) -> Graph:
 
     def expect(idx: int, key: str) -> str:
         if idx >= len(rows) or not rows[idx][1].startswith(key):
-            raise fail(idx, f"expected '{key} ...'")
-        return rows[idx][1][len(key):].strip()
+            raise fail(idx, f"expected '{key.strip()} ...'")
+        return rows[idx][1][len(key):]
 
     def count(idx: int, key: str) -> int:
-        text = expect(idx, key)
+        text = expect(idx, key).strip()
         if not (text.isascii() and text.isdigit()):
             raise fail(idx, f"'{key}' needs a nonnegative integer")
         return int(text)
@@ -350,7 +349,7 @@ def load_graph(path) -> Graph:
     n = count(1, "nodes")
     d = count(2, "features")
     c = count(3, "classes")
-    domain = expect(4, "domain")
+    domain = expect(4, "domain ")
     expect(5, "X")
     features = _read_features(path, block(6, n, "X"), d)
     idx = 6 + n

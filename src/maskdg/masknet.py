@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tasknet
+from .graph import EdgeOrigin, write_atomic
 
 
 @dataclass
@@ -52,12 +53,8 @@ class EdgeMask:
     values: np.ndarray
     scorable: np.ndarray
 
-    @property
-    def num_scorable(self) -> int:
-        return int(self.scorable.sum())
-
     def mean_scorable(self) -> float:
-        if self.num_scorable == 0:
+        if not self.scorable.any():
             return 0.0
         return float(self.values[self.scorable].mean())
 
@@ -67,12 +64,11 @@ def _uniform_fan_in(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_masknet(d: int, d_prime: int = 128, hidden: int = 64,
-                 rng: np.random.Generator | None = None) -> MaskNetParams:
+def init_masknet(d: int, d_prime: int, hidden: int,
+                 rng: np.random.Generator) -> MaskNetParams:
     """Seeded init: weights uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     if min(d, d_prime, hidden) < 1:
         raise ValueError("all dimensions must be >= 1")
-    rng = rng or np.random.default_rng()
     return MaskNetParams(
         proj_w=_uniform_fan_in(rng, (d_prime, d)),
         proj_b=np.zeros(d_prime),
@@ -160,8 +156,6 @@ def mask_forward(p: MaskNetParams, X: np.ndarray, edges: np.ndarray) -> EdgeMask
 
 def dump_mask_csv(path, edges: np.ndarray, mask: EdgeMask) -> None:
     """Write 'src,dst,origin,s' rows for offline mask analysis."""
-    from .graph import EdgeOrigin, write_atomic
-
     rows = [f"{src},{dst},{EdgeOrigin(origin).name},{repr(float(s))}\n"
             for (src, dst, origin), s in zip(np.asarray(edges), mask.values)]
     write_atomic(path, "src,dst,origin,s\n" + "".join(rows))

@@ -86,9 +86,8 @@ class TaskNetParams(ad.Params):
 
 
 def init_tasknet(d: int, num_classes: int, cfg: TaskNetConfig,
-                 rng: np.random.Generator | None = None) -> TaskNetParams:
+                 rng: np.random.Generator) -> TaskNetParams:
     """Uniform fan-in init for W, a and the output head; mask weights start at 1."""
-    rng = rng or np.random.default_rng()
     layers = []
     d_in = d
     for l in range(cfg.layers):

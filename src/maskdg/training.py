@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .autodiff import packed
-from .enrich import EnrichConfig, EnrichedGraph, Enricher
+from .enrich import EnrichConfig, Enricher
 from .gradients import grad_masknet, grad_tasknet
 from .graph import UNLABELED, DomainDataset, EdgeOrigin, Graph, write_atomic
 from .masknet import EdgeMask, MaskNetParams, init_masknet, mask_forward
@@ -79,14 +79,6 @@ class Metrics:
 
 
 @dataclass
-class MaskStats:
-    pruned_aug_pct: Optional[float]
-    pruned_orig_pct: Optional[float]
-    retained_aug_pct: Optional[float]
-    threshold: float
-
-
-@dataclass
 class EpochRecord:
     epoch: int
     task_loss: float
@@ -136,31 +128,23 @@ def f1_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> Metr
     return Metrics(micro_f1=acc, macro_f1=float(np.mean(per_class)), accuracy=acc)
 
 
-def mask_statistics(enriched, mask: EdgeMask, threshold: float = 0.5) -> MaskStats:
-    """Fraction of edges falling below the prune threshold, split into the
-    original topology versus the feature-derived additions."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie in (0, 1)")
-    edges = np.asarray(enriched.enriched_edges)
-    scorable = mask.scorable
-    origins = edges[:, 2]
-    values = mask.values
-    is_orig = scorable & (origins == int(EdgeOrigin.ORIGINAL))
-    is_aug = scorable & ((origins == int(EdgeOrigin.KNN))
-                         | (origins == int(EdgeOrigin.SPECTRAL)))
+# A mask value below this counts as pruning its edge.
+PRUNE_THRESHOLD = 0.5
 
-    def pruned_pct(sel):
-        if not sel.any():
-            return None
-        return 100.0 * float(np.mean(values[sel] < threshold))
 
-    aug = pruned_pct(is_aug)
-    return MaskStats(
-        pruned_aug_pct=aug,
-        pruned_orig_pct=pruned_pct(is_orig),
-        retained_aug_pct=None if aug is None else 100.0 - aug,
-        threshold=threshold,
-    )
+def mask_statistics(edges: np.ndarray, mask: EdgeMask) -> dict:
+    """For the scored edges of each origin (ORIGINAL, KNN, SPECTRAL): their
+    count, mean mask value and percentage below PRUNE_THRESHOLD; None for
+    an origin with no scored edge."""
+    stats = {}
+    for origin in (EdgeOrigin.ORIGINAL, EdgeOrigin.KNN, EdgeOrigin.SPECTRAL):
+        values = mask.values[mask.scorable & (edges[:, 2] == int(origin))]
+        stats[origin.name] = None if values.size == 0 else {
+            "edges": int(values.size),
+            "mean_mask": float(values.mean()),
+            "pruned_pct": 100.0 * float(np.mean(values < PRUNE_THRESHOLD)),
+        }
+    return stats
 
 
 def _mask_or_ones(model_mask, X, edges, enabled: bool) -> np.ndarray:
@@ -169,15 +153,15 @@ def _mask_or_ones(model_mask, X, edges, enabled: bool) -> np.ndarray:
     return mask_forward(model_mask, X, edges).values
 
 
-def inference_graph(cfg: TrainConfig, graph: Graph) -> EnrichedGraph:
-    """The deterministic inference edge set of `graph`: the training
+def inference_graph(cfg: TrainConfig, graph: Graph) -> np.ndarray:
+    """The deterministic (E, 3) inference edges of `graph`: the training
     config's enrichment with every nonzero sampling ratio forced to 1, and
     the spectral k-means seeded from the config seed."""
     e_cfg = replace(cfg.enrich,
                     gamma_knn=1.0 if cfg.enrich.gamma_knn > 0 else 0.0,
                     gamma_spec=1.0 if cfg.enrich.gamma_spec > 0 else 0.0)
     rng = np.random.default_rng(cfg.seed)
-    return Enricher(graph, e_cfg, rng).sample(rng)
+    return Enricher(graph, e_cfg, rng).sample(rng).enriched_edges
 
 
 def evaluate(model: TrainedModel, graph: Graph,
@@ -191,7 +175,7 @@ def evaluate(model: TrainedModel, graph: Graph,
     mode = mask_mode or cfg.inference_mask_mode
     if not cfg.mask_enabled:
         mode = "all-ones"      # the scorer was never trained
-    edges = inference_graph(cfg, graph).enriched_edges
+    edges = inference_graph(cfg, graph)
     mask_values = _mask_or_ones(model.mask, graph.features, edges,
                                 mode == "masknet")
     logits = tasknet_forward(model.task, graph.features, edges, mask_values,
@@ -250,26 +234,24 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
     lam = cfg.sparsity
     history: List[EpochRecord] = []
 
-    use_dropout = (cfg.tasknet.attn_dropout > 0 or cfg.tasknet.layer_dropout > 0)
     for epoch in range(cfg.epochs):
         losses, objectives, means = [], [], []
         for dom_idx, g in enumerate(sources):
             edges = enrichers[dom_idx].sample(loop_rng).enriched_edges
             X, labels = g.features, g.labels
-            drng = loop_rng if use_dropout else None
             try:
                 # fixed: the edges across all steps, the scorer across descent
                 seg = EdgeSegments(edges, X.shape[0])
                 s = _mask_or_ones(maskp, X, edges, cfg.mask_enabled)
                 for _ in range(cfg.n_descent):
                     losses.append(tasknet_descent_step(
-                        task, s, X, edges, labels, cfg, task_state, drng,
+                        task, s, X, edges, labels, cfg, task_state, loop_rng,
                         seg))
                 if cfg.mask_enabled:
                     for _ in range(cfg.n_ascent):
                         objectives.append(masknet_ascent_step(
                             task, maskp, X, edges, labels, lam, cfg,
-                            mask_state, drng, seg))
+                            mask_state, loop_rng, seg))
                     means.append(mask_forward(maskp, X, edges).mean_scorable())
                     if cfg.dual_rho is not None:
                         lam = dual_ascent_lambda(lam, means[-1], cfg.dual_rho,
@@ -295,8 +277,7 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
 def final_mean_mask(model: TrainedModel, graphs: Sequence[Graph]) -> float:
     """Mean scorable mask value over the inference graphs of `graphs`."""
     vals = [mask_forward(model.mask, g.features,
-                         inference_graph(model.cfg, g).enriched_edges
-                         ).mean_scorable()
+                         inference_graph(model.cfg, g)).mean_scorable()
             for g in graphs]
     return float(np.mean(vals))
 

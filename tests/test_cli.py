@@ -11,7 +11,7 @@ from maskdg import theory
 from maskdg.cli import build_parser, main
 from maskdg.enrich import EnrichConfig
 from maskdg.gradients import FiniteDiffReport
-from maskdg.graph import EdgeOrigin, load_graph, save_graph
+from maskdg.graph import UNLABELED, EdgeOrigin, load_graph, save_graph
 from maskdg.tasknet import TaskNetConfig
 from maskdg.training import TrainConfig
 
@@ -123,8 +123,9 @@ def test_train_pipeline_artifacts(domains, tmp_path):
     out = tmp_path / "run"
     assert run_train(domains, out) == 0
     metrics = json.loads((out / "metrics.json").read_text())
-    assert "target_all_ones" in metrics and "target_masknet" in metrics
-    assert 0.0 <= metrics["target_all_ones"]["micro_f1"] <= 1.0
+    assert set(metrics["target"]) == {"all-ones", "masknet"}
+    assert 0.0 <= metrics["target"]["all-ones"]["micro_f1"] <= 1.0
+    assert set(metrics["mask_stats"]) == {"ORIGINAL", "KNN", "SPECTRAL"}
     assert (out / "model.ckpt").exists()
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 3      # header + 2 epochs
@@ -286,7 +287,8 @@ def test_ablate_lambda_runs_grid(domains, tmp_path):
     assert rc == 0
     table = json.loads((out / "lambda_table.json").read_text())
     assert [r["lambda"] for r in table["rows"]] == [0.0, 0.1]
-    assert (out / "lambda_table.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "lambda_table.json", "manifest.json", "timings.json"]
 
 
 def test_ablate_2x2_emits_four_rows(domains, tmp_path):
@@ -422,11 +424,17 @@ def test_mask_dump_describes_the_inference_graph(domains, tmp_path):
     out = tmp_path / "run"
     assert run_train(domains, out) == 0
     model = load_checkpoint(out / "model.ckpt")
-    edges = inference_graph(model.cfg, load_graph(domains[0])).enriched_edges
+    edges = inference_graph(model.cfg, load_graph(domains[0]))
     rows = [r.split(",") for r in
             (out / "mask_dump.csv").read_text().splitlines()[1:]]
     assert [(int(a), int(b), o) for a, b, o, _ in rows] == [
         (a, b, EdgeOrigin(o).name) for a, b, o in edges.tolist()]
+    stats = json.loads((out / "metrics.json").read_text())["mask_stats"]
+    for origin, st in stats.items():
+        s = [float(v) for a, b, o, v in rows if o == origin and a != b]
+        assert st == {"edges": len(s), "mean_mask": pytest.approx(np.mean(s)),
+                      "pruned_pct": pytest.approx(
+                          100.0 * sum(v < 0.5 for v in s) / len(s))}, origin
 
 
 # -- malformed graph and checkpoint inputs: "error: <path>...", exit 1 -------
@@ -458,12 +466,40 @@ def write_triplet(graph_path, where):
      "bom.csv:1: expected 8 feature values, got '\ufffd\ufffd"),
     ("enrich --graph dir.csv:edges.txt:labels.txt", "dir.csv: Is a directory"),
     ("enrich --graph dir.graph", "dir.graph: Is a directory"),
+    ("train --source d0.graph --target narrow.graph",
+     "domain 'narrow' disagrees on feature dim or class count"),
+    ("ablate-2x2 --source d0.graph --target classes.graph",
+     "domain 'classes' disagrees on feature dim or class count"),
+    ("ablate-lambda --source featureless.graph",
+     "domain 'featureless' has no features"),
+    ("train --source unlabeled.graph",
+     "graph 'unlabeled' has no labeled node"),
+    ("train --source d0.graph --target unlabeled.graph",
+     "graph 'unlabeled' has no labeled node"),
+    ("eval --checkpoint model.ckpt --graph narrow.graph",
+     "narrow.graph: 7 features, the checkpoint 8"),
+    ("eval --checkpoint model.ckpt --graph unlabeled.graph",
+     "graph 'unlabeled' has no labeled node"),
 ], ids=["cut-graph", "bogus-origin", "train-cut-source", "missing-checkpoint",
         "non-npz-checkpoint", "triplet-label-overflow",
-        "triplet-non-utf8-features", "triplet-directory", "graph-directory"])
-def test_malformed_input_exits_1(domains, tmp_path, capsys, monkeypatch,
-                                 argv, message):
+        "triplet-non-utf8-features", "triplet-directory", "graph-directory",
+        "target-feature-count", "target-class-count", "source-no-features",
+        "source-unlabeled", "target-unlabeled", "eval-feature-count",
+        "eval-unlabeled"])
+def test_malformed_input_exits_1(domains, trained_checkpoint, tmp_path,
+                                 capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
+    g = load_graph(domains[0])
+    for name, graph in {
+            "d0": g,
+            "narrow": dataclasses.replace(g, features=g.features[:, 1:]),
+            "classes": dataclasses.replace(g, num_classes=g.num_classes + 1),
+            "featureless": dataclasses.replace(g, features=g.features[:, :0]),
+            "unlabeled": dataclasses.replace(
+                g, labels=np.full(g.num_nodes, UNLABELED))}.items():
+        save_graph(dataclasses.replace(graph, domain_id=name),
+                   tmp_path / f"{name}.graph")
+    (tmp_path / "model.ckpt").write_bytes(trained_checkpoint.read_bytes())
     lines = domains[0].read_text().splitlines()
     row = next(i for i, l in enumerate(lines) if l.startswith("edges ")) + 1
     (tmp_path / "cut.graph").write_text("\n".join(lines[:20]) + "\n")

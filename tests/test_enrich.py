@@ -520,7 +520,7 @@ def test_enrich_stats_pipeline():
     cfg = EnrichConfig(k=3, clusters=2, gamma_knn=1.0, gamma_spec=0.0)
     rng = np.random.default_rng(0)
     eg = Enricher(g, cfg, rng).sample(rng)
-    stats = edge_stats(g, eg)
+    stats = edge_stats(g, eg.enriched_edges)
     total_scorable = sum(v for k, v in stats.counts.items() if k != "SELF_LOOP")
     assert total_scorable == scorable_count(eg)
     assert stats.edge_increase_pct == pytest.approx(
@@ -553,7 +553,7 @@ def test_citation_scale_defaults_smoke():
               rng.integers(0, 5, size=n), 5, "citation-scale")
     cfg = EnrichConfig(k=10, clusters=100, gamma_knn=0.1, gamma_spec=0.1)
     eg = Enricher(g, cfg, rng).sample(rng)
-    stats = edge_stats(g, eg)
+    stats = edge_stats(g, eg.enriched_edges)
     assert stats.counts["SELF_LOOP"] == n
     assert stats.counts["KNN"] > 0 and stats.counts["SPECTRAL"] > 0
     assert 10.0 < stats.edge_increase_pct < 200.0

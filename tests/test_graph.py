@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -220,6 +220,19 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("domain_id", [" padded ", "", "a  b\t", "domain x"])
+def test_save_load_keeps_the_domain_id_as_written(tmp_path, domain_id):
+    p = tmp_path / "g.graph"
+    save_graph(replace(random_graph(seed=1), domain_id=domain_id), p)
+    assert load_graph(p).domain_id == domain_id
+
+
+@pytest.mark.parametrize("domain_id", ["a\nb", "a\rb", "a\r\nb", "\n"])
+def test_graph_rejects_a_line_break_in_its_domain_id(domain_id):
+    with pytest.raises(GraphFormatError, match="line break"):
+        replace(random_graph(seed=1), domain_id=domain_id)
+
+
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(GraphFormatError):
         Graph(np.zeros((2, 1)), make_edges([(0, 5)], EdgeOrigin.ORIGINAL),
@@ -252,6 +265,9 @@ def test_dataset_requires_consistent_dims():
               rng.integers(0, 3, size=4), 3, "other")
     with pytest.raises(ValueError, match="disagrees"):
         DomainDataset(source_graphs=(a, b))
+    bare = replace(a, features=a.features[:, :0])
+    with pytest.raises(ValueError, match="'rand' has no features"):
+        DomainDataset(source_graphs=(bare,))
 
 
 def test_edge_stats_arithmetic():

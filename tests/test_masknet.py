@@ -35,7 +35,7 @@ def test_minimal_dims_are_valid():
 
 def test_invalid_dims_rejected():
     with pytest.raises(ValueError):
-        init_masknet(0, 4, 4)
+        init_masknet(0, 4, 4, np.random.default_rng(0))
 
 
 def zero_params(d, d_prime=4, hidden=3):
@@ -106,7 +106,8 @@ def test_mean_scorable_ignores_self_loops():
     values = np.array([0.2, 0.4, 1.0, 1.0])
     mask = EdgeMask(values=values, scorable=np.array([True, True, False, False]))
     assert mask.mean_scorable() == pytest.approx(0.3)
-    assert mask.num_scorable == 2
+    loops_only = EdgeMask(values=values, scorable=np.zeros(4, dtype=bool))
+    assert loops_only.mean_scorable() == 0.0
 
 
 def hub_instance():
@@ -168,7 +169,7 @@ def test_scores_in_edge_blocks_are_bit_identical(monkeypatch):
     p = init_masknet(5, d_prime, 32, np.random.default_rng(4))
     X = r.normal(size=(n, 5))
     whole = mask_forward(p, X, edges)
-    assert whole.num_scorable == 300
+    assert whole.scorable.sum() == 300
     assert np.flatnonzero(~whole.scorable)[0] < edges.shape[0] - n
     monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 64 * 8 * 2 * d_prime)
     blocked = mask_forward(p, X, edges)

@@ -442,8 +442,8 @@ def test_inference_graph_takes_every_edge_of_each_enabled_origin():
     g = toy_graph(4)
     cfg = small_cfg(enrich=EnrichConfig(k=3, clusters=2, gamma_knn=0.2,
                                         gamma_spec=0.0))
-    edges = inference_graph(cfg, g).enriched_edges
-    np.testing.assert_array_equal(edges, inference_graph(cfg, g).enriched_edges)
+    edges = inference_graph(cfg, g)
+    np.testing.assert_array_equal(edges, inference_graph(cfg, g))
     pairs = set(map(tuple, edges[:, :2]))
     assert set(map(tuple, knn_edges(g.features, 3)[:, :2])) <= pairs
     assert set(map(tuple, g.edges[:, :2])) <= pairs
@@ -460,11 +460,6 @@ def test_evaluation_is_deterministic():
 
 # -- mask statistics ------------------------------------------------------------
 
-class _FakeEnriched:
-    def __init__(self, edges):
-        self.enriched_edges = edges
-
-
 def _stats_fixture(values):
     edges = np.vstack([
         make_edges([(0, 1), (1, 0)], EdgeOrigin.ORIGINAL),
@@ -473,38 +468,67 @@ def _stats_fixture(values):
         make_edges([(0, 0)], EdgeOrigin.SELF_LOOP),
     ])
     scorable = edges[:, 0] != edges[:, 1]
-    return _FakeEnriched(edges), EdgeMask(values=np.asarray(values),
-                                          scorable=scorable)
+    return edges, EdgeMask(values=np.asarray(values), scorable=scorable)
+
+
+SCORED_ORIGINS = ("ORIGINAL", "KNN", "SPECTRAL")
 
 
 def test_mask_stats_all_high_prunes_nothing():
-    enr, mask = _stats_fixture([0.9] * 5 + [1.0])
-    st = mask_statistics(enr, mask)
-    assert st.pruned_aug_pct == 0.0
-    assert st.pruned_orig_pct == 0.0
-    assert st.retained_aug_pct == 100.0
+    edges, mask = _stats_fixture([0.9] * 5 + [1.0])
+    st = mask_statistics(edges, mask)
+    assert [st[o]["pruned_pct"] for o in SCORED_ORIGINS] == [0.0] * 3
 
 
 def test_mask_stats_all_low_prunes_everything():
-    enr, mask = _stats_fixture([0.1] * 5 + [1.0])
-    st = mask_statistics(enr, mask)
-    assert st.pruned_aug_pct == 100.0
-    assert st.pruned_orig_pct == 100.0
-    assert st.retained_aug_pct == 0.0
+    edges, mask = _stats_fixture([0.1] * 5 + [1.0])
+    st = mask_statistics(edges, mask)
+    assert [st[o]["pruned_pct"] for o in SCORED_ORIGINS] == [100.0] * 3
 
 
 def test_mask_stats_mixed_counts_match_enumeration():
-    enr, mask = _stats_fixture([0.9, 0.2, 0.4, 0.8, 0.3, 1.0])
-    st = mask_statistics(enr, mask, threshold=0.5)
-    assert st.pruned_orig_pct == pytest.approx(50.0)     # one of two originals
-    assert st.pruned_aug_pct == pytest.approx(100 * 2 / 3)
-    assert st.retained_aug_pct == pytest.approx(100 - 100 * 2 / 3)
+    # KNN and SPECTRAL are pruned differently: one of two KNN edges, the
+    # one SPECTRAL edge; the old lumped share was (1 + 1) / 3 of them
+    edges, mask = _stats_fixture([0.9, 0.2, 0.4, 0.8, 0.3, 1.0])
+    st = mask_statistics(edges, mask)
+    assert st == {
+        "ORIGINAL": {"edges": 2, "mean_mask": pytest.approx(0.55),
+                     "pruned_pct": 50.0},
+        "KNN": {"edges": 2, "mean_mask": pytest.approx(0.6),
+                "pruned_pct": 50.0},
+        "SPECTRAL": {"edges": 1, "mean_mask": 0.3, "pruned_pct": 100.0},
+    }
+    lumped = sum(st[o]["edges"] * st[o]["pruned_pct"]
+                 for o in ("KNN", "SPECTRAL")) / 3
+    assert lumped == pytest.approx(100 * 2 / 3)
 
 
-def test_mask_stats_threshold_validation():
-    enr, mask = _stats_fixture([0.5] * 5 + [1.0])
-    with pytest.raises(ValueError):
-        mask_statistics(enr, mask, threshold=0.0)
+@pytest.mark.parametrize("present", [(0, 1, 2), (0, 2), (1,)])
+def test_mask_stats_match_a_loop_over_the_edges(present):
+    # an origin missing from the edges reads None; values exactly at the
+    # threshold are kept; self-loops are never counted
+    r = np.random.default_rng(len(present))
+    n = 12
+    pairs = r.integers(0, n, size=(80, 2))
+    origins = r.choice(present, size=80)
+    edges = np.column_stack([pairs, np.where(pairs[:, 0] == pairs[:, 1],
+                                             int(EdgeOrigin.SELF_LOOP),
+                                             origins)])
+    values = np.where(r.random(80) < 0.2, 0.5, r.random(80))
+    scorable = edges[:, 0] != edges[:, 1]
+    values[~scorable] = 1.0
+    st = mask_statistics(edges, EdgeMask(values=values, scorable=scorable))
+    assert list(st) == list(SCORED_ORIGINS)
+    for name in SCORED_ORIGINS:
+        vals = [float(v) for (u, w, o), v in zip(edges.tolist(), values)
+                if u != w and EdgeOrigin(o).name == name]
+        if not vals:
+            assert st[name] is None, name
+            continue
+        pruned = sum(v < 0.5 for v in vals)
+        assert st[name] == {"edges": len(vals),
+                            "mean_mask": pytest.approx(sum(vals) / len(vals)),
+                            "pruned_pct": 100.0 * (pruned / len(vals))}, name
 
 
 # -- ablations -------------------------------------------------------------------
