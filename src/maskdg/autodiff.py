@@ -6,12 +6,12 @@ lives for the duration of one loss evaluation; ``backward`` topologically
 sorts the graph reachable from the output and accumulates ``.grad`` on every
 node that requires it.
 
-The networks' layers are each one op with a hand-written vector-Jacobian
-product, built on `Var` in their own modules: the scorer in `masknet`, each
-attention layer and the cross-entropy in `tasknet`. What remains here is the
-arithmetic that glues them together (same-shape products, 2-D matmul,
-transpose, dropout), the parameter containers, and the segment helpers
-`stable_order` and `sum_rows` that their VJPs share.
+The tape records whole layers only: each is one op with a hand-written
+vector-Jacobian product, built on `Var` in its own module: the scorer in
+`masknet`, each attention layer (with its dropout and, in the last, the
+classifier head) and the cross-entropy in `tasknet`. What remains here is the
+tape itself, the parameter containers, the dropout scale `dropout_keep`, and
+the segment helpers `stable_order` and `sum_rows` that the VJPs share.
 """
 
 from __future__ import annotations
@@ -78,27 +78,6 @@ class Var:
                 else:
                     parent.grad += contrib
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other):
-        """Elementwise product of two same-shape operands."""
-        out_data = self.data * other.data
-        a_data, b_data = self.data, other.data
-
-        def vjp(g):
-            return ((self, g * b_data), (other, g * a_data))
-
-        return Var(out_data, parents=(self, other), vjp=vjp)
-
-    def __matmul__(self, other):
-        a_data, b_data = self.data, other.data
-        out_data = a_data @ b_data
-
-        def vjp(g):                        # (n, k) @ (k, m) -> (n, m)
-            return ((self, g @ b_data.T), (other, a_data.T @ g))
-
-        return Var(out_data, parents=(self, other), vjp=vjp)
-
 
 def constant(x) -> Var:
     return Var(x, requires_grad=False)
@@ -160,17 +139,6 @@ def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
         out[rows] = np.add.reduceat(x[stable_order(index, num_rows)], starts,
                                     axis=0)
     return out
-
-
-def transpose(x: Var) -> Var:
-    return Var(x.data.T, parents=(x,), vjp=lambda g: ((x, g.T),))
-
-
-def dropout(x: Var, rate: float, rng: np.random.Generator) -> Var:
-    """Inverted dropout; the drawn mask rides the tape as a constant."""
-    if rate <= 0.0:
-        return x
-    return x * constant(dropout_keep(rng, x.data.shape, rate))
 
 
 def dropout_keep(rng: np.random.Generator, shape, rate: float) -> np.ndarray:

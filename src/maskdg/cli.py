@@ -161,13 +161,15 @@ def resolve_config(args, cls=TrainConfig):
 
 def read_graph_arg(spec: str) -> Graph:
     """A graph argument is either a serialized graph file or a
-    'features.csv:edges.txt:labels.txt' triplet."""
+    'features.csv:edges.txt:labels.txt' triplet, whose domain id is the
+    feature file's stem, undecodable bytes read as U+FFFD."""
     if ":" in spec and not Path(spec).exists():
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"expected file or feat:edges:labels, got {spec!r}")
         return load_dataset(parts[0], parts[1], parts[2],
-                            domain_id=Path(parts[0]).stem)
+                            domain_id=os.fsencode(Path(parts[0]).stem)
+                            .decode(errors="replace"))
     return load_graph(spec)
 
 
@@ -339,9 +341,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = read_checkpoint_arg(args.checkpoint)
     g = read_graph_arg(args.graph)
-    if g.num_features != model.mask.proj_w.shape[1]:
-        raise ConfigError(f"{args.graph}: {g.num_features} features, the "
-                          f"checkpoint {model.mask.proj_w.shape[1]}")
+    for what, have, want in (("features", g.num_features,
+                              model.mask.proj_w.shape[1]),
+                             ("classes", g.num_classes,
+                              model.task.out_w.shape[0])):
+        if have != want:
+            raise ConfigError(f"{args.graph}: {have} {what}, the checkpoint "
+                              f"{want}")
     _check_run_graphs(model.cfg.enrich, [g])
     ctx = RunContext(args.out, "eval",
                      {"checkpoint": args.checkpoint, "graph": args.graph},
@@ -483,7 +489,7 @@ def main(argv=None) -> int:
     except (ConfigError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, RuntimeError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:

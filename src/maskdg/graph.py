@@ -59,6 +59,10 @@ class Graph:
             raise GraphFormatError("feature matrix contains non-finite entries")
         if "\n" in self.domain_id or "\r" in self.domain_id:
             raise GraphFormatError("domain id contains a line break")
+        try:
+            self.domain_id.encode()
+        except UnicodeEncodeError:
+            raise GraphFormatError("domain id is not valid UTF-8") from None
         n = feats.shape[0]
         if labels.shape != (n,):
             raise GraphFormatError(

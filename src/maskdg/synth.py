@@ -103,14 +103,15 @@ def _backbone_pairs(labels, cfg: SynthConfig, rng: np.random.Generator):
 
 def _spurious_pairs(n: int, strength: float, groups: int,
                     rng: np.random.Generator):
+    """Each pair of a confounder group's members, (a, b) in row-major order
+    with a < b, wired with probability `strength`: one draw per pair."""
     membership = rng.permutation(n) % groups
     pairs = set()
     for g in range(groups):
         members = np.flatnonzero(membership == g)
-        for a in range(members.size):
-            for b in range(a + 1, members.size):
-                if rng.random() < strength:
-                    pairs.add((int(members[a]), int(members[b])))
+        a, b = np.triu_indices(members.size, 1)
+        hit = rng.random(a.size) < strength
+        pairs.update(zip(members[a[hit]].tolist(), members[b[hit]].tolist()))
     return pairs
 
 

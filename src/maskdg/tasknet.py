@@ -185,16 +185,19 @@ class EdgeSegments:
 
 
 def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
-              seg: EdgeSegments, final: bool,
-              keep: Optional[np.ndarray] = None, layer: int = 0) -> ad.Var:
+              seg: EdgeSegments, keep: Optional[np.ndarray] = None,
+              out_keep: Optional[np.ndarray] = None,
+              out_w: Optional[ad.Var] = None, layer: int = 0) -> ad.Var:
     """All heads of one mask-aware attention layer as a single tape op with
     a hand-written VJP.
 
     h: (..., N, D) input; mask: (..., E) in input edge order, where a leading
     mask-batch axis is carried through (forward only); keep: (H, E) attention
-    dropout scale or None. Hidden layers return the (..., N, H*d_h) concat
-    of the ELU-activated heads, the final layer their mean. Inside, node
-    tensors are (..., H, F, N) and edge tensors (..., H, F, E). Raises
+    dropout scale or None. A hidden layer returns the (..., N, H*d_h) concat
+    of the ELU-activated heads, times the layer dropout scale `out_keep` when
+    given. Giving the (C, d_h) classifier head `out_w` makes this the final
+    layer, which returns the (..., N, C) logits of the heads' mean. Inside,
+    node tensors are (..., H, F, N) and edge tensors (..., H, F, E). Raises
     NonFiniteError naming `layer` and the first head whose sums went
     non-finite. Without a VJP to record, the edge stage runs over
     `seg.blocks` whose (..., H, d_h, E) tensors fit in _CHUNK_BYTES; every
@@ -209,7 +212,9 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     take = seg.take
     params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
     want_params = any(v.requires_grad for v in params)
-    taped = want_params or h.requires_grad or mask.requires_grad
+    final = out_w is not None
+    head = [out_w] if final else []
+    taped = any(v.requires_grad for v in (h, mask, *head, *params))
 
     x = h.data
     z = (W @ np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (H, d_h, -1))
@@ -241,12 +246,20 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     out = (out.sum(axis=-3) * (1.0 / H) if final
            else out.reshape(out.shape[:-3] + (H * d_h, -1)))
     out = np.swapaxes(out, -1, -2)
+    y = out @ out_w.data.T if final else out
+    if out_keep is not None:
+        y = y * out_keep
     if not taped:
-        return ad.Var(out)
+        return ad.Var(y)
     dact = np.where(pos, 1.0, neg + 1.0)
 
     def vjp(g):
-        g = g.T * (1.0 / H) if final else g.T.reshape(agg.shape)
+        if final:
+            grads = [(out_w, (out.T @ g).T)]
+            g = (g @ out_w.data).T * (1.0 / H)
+        else:
+            grads = []
+            g = (g if out_keep is None else g * out_keep).T.reshape(agg.shape)
         g_agg = g * dact                                      # (H, d_h, N)
         # The messages' sources are gathered again rather than kept on the
         # tape: only node tensors and (H, 1, E) factors outlive the forward.
@@ -258,7 +271,6 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
         g_alpha = g_coef * m * drop
         g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
         g_raw = alpha * (g_alpha - g_shift) * slope
-        grads = []
         if mask.requires_grad:
             g_m = np.empty(m.shape[-1])
             g_m[seg.order] = (g_coef * kept + g_raw * c).sum(axis=(0, 1))
@@ -286,7 +298,7 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
                           (hp.w, g_c[k] * a[k, 2 * d_h:])]
         return grads
 
-    return ad.Var(out, parents=(h, mask, *params), vjp=vjp)
+    return ad.Var(y, parents=(h, mask, *head, *params), vjp=vjp)
 
 
 def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
@@ -296,21 +308,26 @@ def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     """Tape forward pass producing (N, C) logits.
 
     `pv` comes from ad.param_vars(); `mask` is a full-length Var aligned to
-    `edges`. Passing dropout_rng=None means evaluation mode. `seg` is
-    `EdgeSegments(edges, N)` when a caller has built it already.
+    `edges`. Passing dropout_rng=None means evaluation mode; otherwise each
+    layer draws its attention dropout, then a hidden layer its layer
+    dropout. `seg` is `EdgeSegments(edges, N)` when a caller has built it
+    already.
     """
     seg = seg or EdgeSegments(edges, X.shape[0])
     h = ad.constant(X)
     for l, heads in enumerate(pv.layers):
         final = l == len(pv.layers) - 1
-        keep = None
+        keep = out_keep = None
         if dropout_rng is not None and cfg.attn_dropout > 0:
             keep = ad.dropout_keep(dropout_rng, (len(heads), seg.src.size),
                                    cfg.attn_dropout)
-        h = gat_layer(h, heads, mask, seg, final, keep, l)
-        if dropout_rng is not None and not final:
-            h = ad.dropout(h, cfg.layer_dropout, dropout_rng)
-    return h @ ad.transpose(pv.out_w)
+        if dropout_rng is not None and cfg.layer_dropout > 0 and not final:
+            width = len(heads) * heads[0].W.data.shape[0]
+            out_keep = ad.dropout_keep(dropout_rng, (seg.num_nodes, width),
+                                       cfg.layer_dropout)
+        h = gat_layer(h, heads, mask, seg, keep, out_keep,
+                      pv.out_w if final else None, l)
+    return h
 
 
 def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,

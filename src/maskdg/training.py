@@ -257,7 +257,7 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
                         lam = dual_ascent_lambda(lam, means[-1], cfg.dual_rho,
                                                  cfg.dual_step)
             except FloatingPointError as exc:
-                raise RuntimeError(
+                raise FloatingPointError(
                     f"non-finite value at epoch {epoch}, domain "
                     f"{g.domain_id!r}: {exc}") from exc
         history.append(EpochRecord(

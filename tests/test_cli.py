@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -480,12 +481,14 @@ def write_triplet(graph_path, where):
      "narrow.graph: 7 features, the checkpoint 8"),
     ("eval --checkpoint model.ckpt --graph unlabeled.graph",
      "graph 'unlabeled' has no labeled node"),
+    ("eval --checkpoint model.ckpt --graph classes.graph",
+     "classes.graph: 4 classes, the checkpoint 3"),
 ], ids=["cut-graph", "bogus-origin", "train-cut-source", "missing-checkpoint",
         "non-npz-checkpoint", "triplet-label-overflow",
         "triplet-non-utf8-features", "triplet-directory", "graph-directory",
         "target-feature-count", "target-class-count", "source-no-features",
         "source-unlabeled", "target-unlabeled", "eval-feature-count",
-        "eval-unlabeled"])
+        "eval-unlabeled", "eval-class-count"])
 def test_malformed_input_exits_1(domains, trained_checkpoint, tmp_path,
                                  capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -518,6 +521,21 @@ def test_malformed_input_exits_1(domains, trained_checkpoint, tmp_path,
     assert err.startswith("error: " + message.format(row=row + 1)), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_triplet_with_an_undecodable_file_name_gets_a_replacement_domain_id(
+        domains, tmp_path, capsys):
+    feat, edges, labels = write_triplet(domains[0], tmp_path)
+    odd = feat.rename(tmp_path / os.fsdecode(b"\xff.csv"))
+    out = tmp_path / "o"
+    rc = main(["enrich", "--graph", f"{odd}:{edges}:{labels}", "--k", "3",
+               "--clusters", "3", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    g = load_graph(out / "enriched.graph")
+    assert g.domain_id == "\ufffd"
+    save_graph(g, tmp_path / "again.graph")
+    assert (tmp_path / "again.graph").read_bytes() == \
+        (out / "enriched.graph").read_bytes()
 
 
 @settings(max_examples=60, deadline=None,
@@ -553,6 +571,30 @@ def test_cut_or_corrupted_triplet_exits_0_or_1(domains, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc in (0, 1) and "Traceback" not in err
     assert rc == 0 or err.startswith("error: "), err
+
+
+# -- a numeric failure, and only one, exits 2 ---------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_training_exits_2_naming_the_epoch(domains, tmp_path,
+                                                     capsys):
+    rc = run_train(domains, tmp_path / "run", ["--lr-task", "1e200"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numeric failure: non-finite value at epoch "), err
+    assert "Traceback" not in err
+
+
+def test_a_runtime_error_is_not_reported_as_a_numeric_failure(
+        domains, tmp_path, monkeypatch):
+    from maskdg import cli
+
+    def broken(ds, cfg):
+        raise NotImplementedError("a bug, not a numeric failure")
+
+    monkeypatch.setattr(cli, "train", broken)
+    with pytest.raises(NotImplementedError):
+        run_train(domains, tmp_path / "run")
 
 
 # -- artifacts are replaced whole or not at all; memory exhaustion exits 1 ---

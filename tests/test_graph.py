@@ -233,6 +233,12 @@ def test_graph_rejects_a_line_break_in_its_domain_id(domain_id):
         replace(random_graph(seed=1), domain_id=domain_id)
 
 
+@pytest.mark.parametrize("domain_id", ["\udcff", "a\ud800b"])
+def test_graph_rejects_a_domain_id_that_is_not_utf8(domain_id):
+    with pytest.raises(GraphFormatError, match="not valid UTF-8"):
+        replace(random_graph(seed=1), domain_id=domain_id)
+
+
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(GraphFormatError):
         Graph(np.zeros((2, 1)), make_edges([(0, 5)], EdgeOrigin.ORIGINAL),

@@ -43,6 +43,36 @@ def test_generation_is_seed_deterministic():
         np.testing.assert_array_equal(g1.labels, g2.labels)
 
 
+def per_pair_spurious_pairs(n, strength, groups, rng):
+    """The spurious wiring drawn one pair at a time, in row-major order."""
+    membership = rng.permutation(n) % groups
+    pairs = set()
+    for g in range(groups):
+        members = np.flatnonzero(membership == g)
+        for a in range(members.size):
+            for b in range(a + 1, members.size):
+                if rng.random() < strength:
+                    pairs.add((int(members[a]), int(members[b])))
+    return pairs
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(seed=7),
+    SynthConfig(seed=5, nodes_per_domain=400, num_classes=7, feature_dim=16,
+                num_domains=1, spurious_strength=0.005, backbone_degree=3.0),
+], ids=["defaults", "citation-like"])
+def test_spurious_wiring_draws_as_one_draw_per_pair(monkeypatch, cfg):
+    from maskdg import synth
+
+    got = generate(cfg)
+    monkeypatch.setattr(synth, "_spurious_pairs", per_pair_spurious_pairs)
+    want = generate(cfg)
+    for g1, g2 in zip(got.source_graphs, want.source_graphs):
+        np.testing.assert_array_equal(g1.features, g2.features)
+        np.testing.assert_array_equal(g1.edges, g2.edges)
+        np.testing.assert_array_equal(g1.labels, g2.labels)
+
+
 def test_feature_only_oracle_beats_90pct_on_every_domain():
     ds = generate(SynthConfig(seed=2))
     train = ds.source_graphs[0]

@@ -555,22 +555,28 @@ def test_edge_gathers_are_contiguous(monkeypatch):
                         ad.param(np.ones(1))) for _ in range(H)]
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=seg.src.size))
-    gat_layer(x, heads, mask, seg, False).backward()
+    gat_layer(x, heads, mask, seg).backward()
     assert (H, d_h, seg.src.size) in [g.shape for g in gathered]   # z_src
     assert all(g.flags.c_contiguous for g in gathered)
 
 
 # -- the fused layer's hand-written gradient ------------------------------------
 
-VJP_CASES = [(False, False), (True, True), (False, True), (True, False)]
+# (final layer, attention dropout, layer dropout); a final layer tracks its
+# classifier head, a hidden one may scale its output by the layer dropout.
+VJP_CASES = [(False, False, False), (True, True, False), (False, True, False),
+             (True, False, False), (False, False, True), (False, True, True)]
 
 
 # the ids name the layer's one activation, ELU
-@pytest.mark.parametrize("final,dropout", VJP_CASES,
-                         ids=[f"elu-{f}-{d}" for f, d in VJP_CASES])
-def test_gat_layer_vjp_matches_finite_differences(final, dropout):
+@pytest.mark.parametrize(
+    "final,dropout,layer_dropout", VJP_CASES,
+    ids=[f"elu-{f}-{d}" + ("-layer-dropout" if l else "")
+         for f, d, l in VJP_CASES])
+def test_gat_layer_vjp_matches_finite_differences(final, dropout,
+                                                  layer_dropout):
     r = np.random.default_rng(21)
-    n, d, H, d_h = 6, 4, 3, 2
+    n, d, H, d_h, C = 6, 4, 3, 2, 3
     # node 5's only in-edge is its self-loop
     edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (3, 1), (4, 3),
                               (0, 4), (5, 2), (2, 3)], n)
@@ -580,26 +586,29 @@ def test_gat_layer_vjp_matches_finite_differences(final, dropout):
         arrays[f"W{k}"] = r.normal(size=(d_h, d))
         arrays[f"a{k}"] = r.normal(size=2 * d_h + 1)
         arrays[f"w{k}"] = r.normal(size=1)
+    if final:
+        arrays["out_w"] = r.normal(size=(C, d_h))
     keep = ad.dropout_keep(np.random.default_rng(3), (H, E), 0.4) \
         if dropout else None
+    out_keep = ad.dropout_keep(np.random.default_rng(4), (n, H * d_h), 0.4) \
+        if layer_dropout else None
     seg = EdgeSegments(edges, n)
-    out_dim = d_h if final else H * d_h
-    weight = r.normal(size=(n, out_dim))
+    weight = r.normal(size=(n, C if final else H * d_h))
 
-    def loss(wrap):
+    def layer(wrap):
         v = {name: wrap(arr) for name, arr in arrays.items()}
         heads = [HeadParams(v[f"W{k}"], v[f"a{k}"], v[f"w{k}"])
                  for k in range(H)]
-        out = gat_layer(v["x"], heads, v["mask"], seg, final, keep)
-        return out * ad.constant(weight), v
+        return gat_layer(v["x"], heads, v["mask"], seg, keep, out_keep,
+                         v.get("out_w")), v
 
-    # backward's default all-ones seed differentiates the sum of the output
-    total, v = loss(ad.param)
-    total.backward()
+    # seeding backward with `weight` differentiates sum(weight * output)
+    out, v = layer(ad.param)
+    out.backward(weight)
     analytic = {name: var.grad for name, var in v.items()}
-    report = finite_diff_check(lambda: float(loss(ad.constant)[0].data.sum()),
-                               list(arrays.items()), analytic, h=1e-5,
-                               tol=1e-6)
+    report = finite_diff_check(
+        lambda: float((layer(ad.constant)[0].data * weight).sum()),
+        list(arrays.items()), analytic, h=1e-5, tol=1e-6)
     assert report.passed, list(report.lines())
 
 
@@ -630,7 +639,8 @@ def test_network_gradient_with_dropout_matches_finite_differences():
 def test_dropout_draws_match_per_head_sequential_draws():
     # One (H, E) attention-dropout draw per layer equals H successive (E,)
     # draws, and a hidden layer then draws its (N, H*d_h) layer dropout:
-    # the rng stream is the same as drawing head by head.
+    # the rng stream is the same as drawing head by head, and the logits are
+    # those of the layers applied with the keeps drawn in that order.
     cfg = TaskNetConfig(layers=2, heads=3, head_dim=2,
                         attn_dropout=0.5, layer_dropout=0.5)
     p = small_params(3, 2, cfg, seed=2)
@@ -638,16 +648,21 @@ def test_dropout_draws_match_per_head_sequential_draws():
     X = np.random.default_rng(1).normal(size=(n, 3))
     edges = graph_with_loops([(0, 1), (1, 2), (2, 3)], n)
     E = edges.shape[0]
+    pv, mask = ad.param_vars(p, track=False), ad.constant(np.ones(E))
     ours = np.random.default_rng(99)
-    tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
-                        ad.constant(np.ones(E)), cfg, ours)
+    logits = tasknet_forward_var(pv, X, edges, mask, cfg, ours).data
     ref = np.random.default_rng(99)
-    for layer in range(cfg.layers):
-        for _ in range(cfg.heads):
-            ref.random(E)
+    h, seg = ad.constant(X), EdgeSegments(edges, n)
+    for layer, heads in enumerate(pv.layers):
+        keep = (np.stack([ref.random(E) for _ in range(cfg.heads)])
+                >= 0.5) / 0.5
         if layer < cfg.layers - 1:
-            ref.random((n, cfg.heads * cfg.head_dim))
+            out_keep = (ref.random((n, cfg.heads * cfg.head_dim)) >= 0.5) / 0.5
+            h = gat_layer(h, heads, mask, seg, keep, out_keep)
+        else:
+            h = gat_layer(h, heads, mask, seg, keep, out_w=pv.out_w)
     assert ours.bit_generator.state == ref.bit_generator.state
+    np.testing.assert_array_equal(logits, h.data)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     np.testing.assert_array_equal(a.random((3, E)),
                                   np.stack([b.random(E) for _ in range(3)]))
@@ -720,7 +735,7 @@ def test_backward_twice_gives_the_same_bits_and_leaves_the_forward_intact():
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=edges.shape[0]))
     keep = ad.dropout_keep(np.random.default_rng(2), (H, edges.shape[0]), 0.3)
-    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), False, keep)
+    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), keep)
     cells = dict(zip(out._vjp.__code__.co_freevars,
                      (c.cell_contents for c in out._vjp.__closure__)))
     forward = {k: cells[k].copy() for k in ("alpha", "coef", "z")}

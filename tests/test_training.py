@@ -294,7 +294,7 @@ def test_huge_sparsity_penalty_shrinks_mean_mask():
 def test_nonfinite_loss_aborts_with_context():
     ds = two_domain_dataset()
     cfg = small_cfg(lr_task=1e200, epochs=3, n_descent=8)
-    with pytest.raises(RuntimeError, match="epoch"):
+    with pytest.raises(FloatingPointError, match="epoch"):
         train(ds, cfg)
 
 
@@ -314,7 +314,7 @@ def test_nonfinite_weight_aborts_naming_epoch_domain_layer_and_head(
     cfg = small_cfg(tasknet=TaskNetConfig(layers=2, heads=3, head_dim=2,
                                           attn_dropout=0.0,
                                           layer_dropout=0.0))
-    with pytest.raises(RuntimeError, match="epoch 0, domain 'a'") as info:
+    with pytest.raises(FloatingPointError, match="epoch 0, domain 'a'") as info:
         train(two_domain_dataset(), cfg)
     cause = info.value.__cause__
     assert isinstance(cause, NonFiniteError)
