@@ -252,13 +252,14 @@ class RunContext:
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args, SynthConfig)
-    ctx = RunContext(args.out, "synth", dataclasses.asdict(cfg), cfg.seed)
+    names = [f"domain{i}.graph" for i in range(cfg.num_domains)]
+    ctx = RunContext(args.out, "synth", dataclasses.asdict(cfg), cfg.seed,
+                     artifacts=names + ["shift_report.json"])
     ds = generate(cfg)
     paths = []
-    for g in ds.source_graphs:
-        p = ctx.out / f"{g.domain_id}.graph"
-        save_graph(g, p)
-        paths.append(str(p))
+    for name, g in zip(names, ds.source_graphs):
+        save_graph(g, ctx.out / name)
+        paths.append(str(ctx.out / name))
     report = verify_shift(ds) if ds.num_domains > 1 else {}
     ctx.write_json("shift_report.json", {"graphs": paths, "shift": report})
     ctx.finish()
@@ -272,20 +273,20 @@ def cmd_enrich(args) -> int:
     _check_enrichable(cfg, [g])
     ctx = RunContext(args.out, "enrich",
                      {"enrich": dataclasses.asdict(cfg), "graph": args.graph},
-                     args.seed)
+                     args.seed, artifacts=["enriched.graph", "edge_stats.json"])
     rng = np.random.default_rng(args.seed)
     enriched = Enricher(g, cfg, rng).sample(rng).enriched_edges
     out_graph = dataclasses.replace(g, edges=enriched)
     path = ctx.out / "enriched.graph"
     save_graph(out_graph, path)
     stats = edge_stats(g, enriched)
-    ctx.write_json("edge_stats.json", dataclasses.asdict(stats))
+    ctx.write_json("edge_stats.json", stats)
     ctx.finish()
     print(f"enriched graph -> {path}")
-    for origin, count in stats.counts.items():
+    for origin, count in stats["counts"].items():
         print(f"  {origin:10s} {count}")
-    if stats.edge_increase_pct is not None:
-        print(f"  increase   {stats.edge_increase_pct:.1f}%")
+    if stats["edge_increase_pct"] is not None:
+        print(f"  increase   {stats['edge_increase_pct']:.1f}%")
     return EXIT_OK
 
 
@@ -302,7 +303,7 @@ def _load_sources_target(args, cfg: TrainConfig) -> DomainDataset:
 
 def _evaluate_modes(model: TrainedModel, graph: Graph) -> dict:
     """The metrics of `model` on `graph` under each inference mask mode."""
-    return {mode: dataclasses.asdict(evaluate(model, graph, mask_mode=mode))
+    return {mode: evaluate(model, graph, mask_mode=mode)
             for mode in ("all-ones", "masknet")}
 
 
@@ -317,9 +318,7 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, result.model)
 
     lines = ["epoch,task_loss,mask_objective,mean_mask,lambda,descent_steps,ascent_steps"]
-    for r in result.history:
-        lines.append(f"{r.epoch},{r.task_loss!r},{r.mask_objective!r},"
-                     f"{r.mean_mask!r},{r.lam!r},{r.descent_steps},{r.ascent_steps}")
+    lines += [",".join(map(repr, row.values())) for row in result.history]
     ctx.write_text("history.csv", "\n".join(lines) + "\n")
 
     g0 = ds.source_graphs[0]
@@ -351,7 +350,7 @@ def cmd_eval(args) -> int:
     _check_run_graphs(model.cfg.enrich, [g])
     ctx = RunContext(args.out, "eval",
                      {"checkpoint": args.checkpoint, "graph": args.graph},
-                     model.cfg.seed)
+                     model.cfg.seed, artifacts=["metrics.json"])
     payload = _evaluate_modes(model, g)
     ctx.write_json("metrics.json", payload)
     ctx.finish()
@@ -370,7 +369,8 @@ def cmd_ablate_lambda(args) -> int:
         raise ConfigError(f"--grid: sparsity values must be finite and >= 0, "
                           f"got {args.grid!r}")
     ctx = RunContext(args.out, "ablate-lambda",
-                     {"train": dataclasses.asdict(cfg), "grid": grid}, cfg.seed)
+                     {"train": dataclasses.asdict(cfg), "grid": grid}, cfg.seed,
+                     artifacts=["lambda_table.json"])
     rows = ablate_lambda(ds, cfg, grid)
     ctx.write_json("lambda_table.json", {"rows": rows})
     ctx.finish()
@@ -382,7 +382,8 @@ def cmd_ablate_lambda(args) -> int:
 def cmd_ablate_2x2(args) -> int:
     cfg = resolve_config(args)
     ds = _load_sources_target(args, cfg)
-    ctx = RunContext(args.out, "ablate-2x2", dataclasses.asdict(cfg), cfg.seed)
+    ctx = RunContext(args.out, "ablate-2x2", dataclasses.asdict(cfg), cfg.seed,
+                     artifacts=["ablation_2x2.json"])
     rows = ablate_2x2(ds, cfg)
     ctx.write_json("ablation_2x2.json", {"rows": rows})
     ctx.finish()
@@ -392,7 +393,8 @@ def cmd_ablate_2x2(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ctx = RunContext(args.out, "gradcheck", {}, args.seed)
+    ctx = RunContext(args.out, "gradcheck", {}, args.seed,
+                     artifacts=["gradcheck.json"])
     audit = theory.gradient_audit(args.seed)
     print("\n".join([*audit.tasknet.lines(), *audit.masknet.lines()]))
     ctx.write_json("gradcheck.json", {
@@ -408,7 +410,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_oracle(args) -> int:
     names = ([n for n in theory.ORACLES if getattr(args, n)]
              or list(theory.ORACLES))
-    ctx = RunContext(args.out, "oracle", {"checks": names}, args.seed)
+    ctx = RunContext(args.out, "oracle", {"checks": names}, args.seed,
+                     artifacts=["oracle.json"])
     results = {n: theory.ORACLES[n](args.seed).passed for n in names}
     for name, ok in results.items():
         print(f"{name:14s} {'PASS' if ok else 'FAIL'}")
@@ -481,10 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
         if os.environ.get("MASKDG_OUT") and hasattr(args, "out"):
             args.out = os.environ["MASKDG_OUT"]
+        for arg in argv:
+            try:
+                os.fsencode(arg)
+            except UnicodeEncodeError:
+                raise ConfigError(f"argument {arg!r} cannot be encoded as a "
+                                  f"file name") from None
         return args.func(args)
     except (ConfigError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

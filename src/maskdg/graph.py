@@ -124,19 +124,6 @@ class DomainDataset:
         return len(self.source_graphs)
 
 
-@dataclass
-class EdgeOriginStats:
-    """Per-origin edge counts and the relative growth due to enrichment.
-
-    Growth percentages are computed over genuine (non-self-loop) edges;
-    self-loops are bookkeeping, not structure.
-    """
-
-    counts: dict
-    edge_increase_pct: Optional[float]
-    avg_degree_delta: float
-
-
 def coalesce(edges: np.ndarray) -> np.ndarray:
     """Deduplicate a directed edge list.
 
@@ -175,19 +162,25 @@ def make_edges(pairs: Iterable, origin: EdgeOrigin) -> np.ndarray:
     return np.hstack([arr, tags])
 
 
-def edge_stats(before: Graph, enriched: np.ndarray) -> EdgeOriginStats:
-    """Compare the edge counts of `before` with its enriched (E, 3) edges."""
+def edge_stats(before: Graph, enriched: np.ndarray) -> dict:
+    """The per-origin counts of the enriched (E, 3) edges of `before`, and
+    the growth due to enrichment: edge_increase_pct (None when `before` has
+    no genuine edge) and avg_degree_delta.
+
+    Growth is computed over genuine (non-self-loop) edges on both sides;
+    self-loops are bookkeeping, not structure.
+    """
     counts = {origin.name: int(np.sum(enriched[:, 2] == int(origin)))
               for origin in EdgeOrigin}
-    n_before = before.num_edges
-    n_after = sum(counts[o.name] for o in EdgeOrigin if o is not EdgeOrigin.SELF_LOOP)
-    if n_before == 0:
-        increase = None
-    else:
-        increase = 100.0 * (n_after - n_before) / n_before
-    delta = (n_after - n_before) / before.num_nodes if before.num_nodes else 0.0
-    return EdgeOriginStats(counts=counts, edge_increase_pct=increase,
-                           avg_degree_delta=delta)
+    n_before, n_after = (int(np.sum(e[:, 0] != e[:, 1]))
+                         for e in (before.edges, enriched))
+    return {
+        "counts": counts,
+        "edge_increase_pct": (100.0 * (n_after - n_before) / n_before
+                              if n_before else None),
+        "avg_degree_delta": ((n_after - n_before) / before.num_nodes
+                             if before.num_nodes else 0.0),
+    }
 
 
 def _read_lines(path) -> list:

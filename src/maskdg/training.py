@@ -72,24 +72,6 @@ class TrainConfig:
 
 
 @dataclass
-class Metrics:
-    micro_f1: float
-    macro_f1: float
-    accuracy: float
-
-
-@dataclass
-class EpochRecord:
-    epoch: int
-    task_loss: float
-    mask_objective: Optional[float]
-    mean_mask: Optional[float]
-    lam: float
-    descent_steps: int
-    ascent_steps: int
-
-
-@dataclass
 class TrainedModel:
     task: TaskNetParams
     mask: MaskNetParams
@@ -100,7 +82,7 @@ class TrainedModel:
 @dataclass
 class TrainResult:
     model: TrainedModel
-    history: List[EpochRecord]
+    history: List[dict]      # one history.csv row per epoch
 
 
 def dual_ascent_lambda(lam: float, mean_s: float, rho: float,
@@ -110,7 +92,7 @@ def dual_ascent_lambda(lam: float, mean_s: float, rho: float,
     return max(0.0, lam + step * (mean_s - rho))
 
 
-def f1_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> Metrics:
+def f1_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> dict:
     """Micro/macro F1 over labeled nodes. Classes absent from both the
     predictions and the truth contribute an F1 of 0 to the macro average."""
     keep = y_true != UNLABELED
@@ -125,7 +107,8 @@ def f1_metrics(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> Metr
         fn = np.sum((y_pred != c) & (y_true == c))
         denom = 2 * tp + fp + fn
         per_class.append(2 * tp / denom if denom > 0 else 0.0)
-    return Metrics(micro_f1=acc, macro_f1=float(np.mean(per_class)), accuracy=acc)
+    return {"micro_f1": acc, "macro_f1": float(np.mean(per_class)),
+            "accuracy": acc}
 
 
 # A mask value below this counts as pruning its edge.
@@ -165,7 +148,7 @@ def inference_graph(cfg: TrainConfig, graph: Graph) -> np.ndarray:
 
 
 def evaluate(model: TrainedModel, graph: Graph,
-             mask_mode: Optional[str] = None) -> Metrics:
+             mask_mode: Optional[str] = None) -> dict:
     """Score the inference graph of `graph` with dropout off.
 
     The mask is all-ones by default; "masknet" applies the trained scorer
@@ -232,7 +215,7 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
 
     task_state, mask_state = AdamState(), AdamState()
     lam = cfg.sparsity
-    history: List[EpochRecord] = []
+    history = []
 
     for epoch in range(cfg.epochs):
         losses, objectives, means = [], [], []
@@ -260,15 +243,16 @@ def train(dataset: DomainDataset, cfg: TrainConfig) -> TrainResult:
                 raise FloatingPointError(
                     f"non-finite value at epoch {epoch}, domain "
                     f"{g.domain_id!r}: {exc}") from exc
-        history.append(EpochRecord(
-            epoch=epoch,
-            task_loss=float(np.mean(losses)) if losses else float("nan"),
-            mask_objective=float(np.mean(objectives)) if objectives else None,
-            mean_mask=float(np.mean(means)) if means else None,
-            lam=lam,
-            descent_steps=len(losses),
-            ascent_steps=len(objectives),
-        ))
+        history.append({
+            "epoch": epoch,
+            "task_loss": float(np.mean(losses)) if losses else float("nan"),
+            "mask_objective": (float(np.mean(objectives)) if objectives
+                               else None),
+            "mean_mask": float(np.mean(means)) if means else None,
+            "lambda": lam,
+            "descent_steps": len(losses),
+            "ascent_steps": len(objectives),
+        })
 
     model = TrainedModel(task=task, mask=maskp, cfg=cfg, final_lambda=lam)
     return TrainResult(model=model, history=history)
@@ -295,8 +279,7 @@ def ablate_lambda(dataset: DomainDataset, cfg: TrainConfig,
                "mean_mask": final_mean_mask(result.model,
                                             dataset.source_graphs)}
         if dataset.target_graph is not None:
-            m = evaluate(result.model, dataset.target_graph)
-            row.update(dataclasses.asdict(m))
+            row.update(evaluate(result.model, dataset.target_graph))
         rows.append(row)
     return rows
 
@@ -329,8 +312,7 @@ def ablate_2x2(dataset: DomainDataset, cfg: TrainConfig) -> List[dict]:
                                else cfg.inference_mask_mode),
         }
         if dataset.target_graph is not None:
-            row.update(dataclasses.asdict(
-                evaluate(result.model, dataset.target_graph)))
+            row.update(evaluate(result.model, dataset.target_graph))
         rows.append(row)
     return rows
 

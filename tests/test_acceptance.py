@@ -5,7 +5,7 @@ One test per criterion, each at its pinned tolerance, printing a PASS line
 """
 
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def test_criterion_9_bit_identical_checkpoints_and_metrics(tmp_path):
         path = tmp_path / f"run{run}.ckpt"
         save_checkpoint(path, result.model)
         blobs.append(path.read_bytes())
-        metrics.append(asdict(evaluate(result.model, ds.target_graph)))
+        metrics.append(evaluate(result.model, ds.target_graph))
     assert blobs[0] == blobs[1]
     assert metrics[0] == metrics[1]
     print("\nACCEPTANCE 9 PASS bit-identical checkpoints and metrics "

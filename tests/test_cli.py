@@ -14,7 +14,7 @@ from maskdg.enrich import EnrichConfig
 from maskdg.gradients import FiniteDiffReport
 from maskdg.graph import UNLABELED, EdgeOrigin, load_graph, save_graph
 from maskdg.tasknet import TaskNetConfig
-from maskdg.training import TrainConfig
+from maskdg.training import TrainConfig, train
 
 
 COMMON = [
@@ -135,6 +135,26 @@ def test_train_pipeline_artifacts(domains, tmp_path):
     assert len(mask_rows) > 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--mask-enabled", "false")],
+                         ids=["mask", "no-mask"])
+def test_history_header_names_the_keys_of_each_epoch_row(
+        domains, tmp_path, monkeypatch, extra):
+    from maskdg import cli
+    results = []
+
+    def recording(ds, cfg):
+        results.append(train(ds, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "train", recording)
+    out = tmp_path / "run"
+    assert run_train(domains, out, extra) == 0
+    header = (out / "history.csv").read_text().splitlines()[0]
+    assert len(results[0].history) == 2
+    for row in results[0].history:
+        assert header == ",".join(row)
+
+
 def test_same_config_gives_byte_identical_outputs(domains, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_train(domains, out1) == 0
@@ -152,6 +172,32 @@ def test_manifest_written_and_referenced(domains, tmp_path):
     sha = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["manifest_sha256"] == sha
+
+
+@pytest.mark.parametrize("command", ["synth", "enrich", "train", "eval",
+                                     "ablate-lambda", "ablate-2x2",
+                                     "gradcheck", "oracle"])
+def test_manifest_lists_the_files_the_run_writes(domains, trained_checkpoint,
+                                                 tmp_path, command):
+    d0, d1, d2 = map(str, domains)
+    argv = {
+        "synth": ["--num-domains", "2", "--nodes-per-domain", "20"],
+        "enrich": ["--graph", d0, "--k", "3", "--clusters", "3"],
+        "train": ["--source", d0, "--source", d1, "--target", d2, *COMMON],
+        "eval": ["--checkpoint", str(trained_checkpoint), "--graph", d2],
+        "ablate-lambda": ["--source", d0, "--target", d2, *COMMON,
+                          "--epochs", "1", "--grid", "0"],
+        "ablate-2x2": ["--source", d0, "--target", d2, *COMMON,
+                       "--epochs", "1"],
+        "gradcheck": [],
+        "oracle": ["--kkt"],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == sorted(
+        p.name for p in out.iterdir()
+        if p.name not in ("manifest.json", "timings.json"))
 
 
 def test_target_labels_unread_during_training(domains, tmp_path):
@@ -536,6 +582,23 @@ def test_triplet_with_an_undecodable_file_name_gets_a_replacement_domain_id(
     save_graph(g, tmp_path / "again.graph")
     assert (tmp_path / "again.graph").read_bytes() == \
         (out / "enriched.graph").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enrich", "--graph", "\ud800.graph", "--out", "out"],
+    ["enrich", "--graph", "\ud800.csv:e.txt:l.txt", "--out", "out"],
+    ["synth", "--num-domains", "1", "--out", "\ud800"],
+], ids=["graph-file", "triplet", "out-dir"])
+def test_an_argument_no_file_name_can_carry_exits_1(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # a lone surrogate outside U+DC80-U+DCFF has no bytes under
+    # surrogateescape; only an in-process caller can pass one
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument '\\ud800"), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=60, deadline=None,

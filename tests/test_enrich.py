@@ -521,9 +521,10 @@ def test_enrich_stats_pipeline():
     rng = np.random.default_rng(0)
     eg = Enricher(g, cfg, rng).sample(rng)
     stats = edge_stats(g, eg.enriched_edges)
-    total_scorable = sum(v for k, v in stats.counts.items() if k != "SELF_LOOP")
+    total_scorable = sum(v for k, v in stats["counts"].items()
+                         if k != "SELF_LOOP")
     assert total_scorable == scorable_count(eg)
-    assert stats.edge_increase_pct == pytest.approx(
+    assert stats["edge_increase_pct"] == pytest.approx(
         100.0 * (scorable_count(eg) - g.num_edges) / g.num_edges)
 
 
@@ -554,6 +555,6 @@ def test_citation_scale_defaults_smoke():
     cfg = EnrichConfig(k=10, clusters=100, gamma_knn=0.1, gamma_spec=0.1)
     eg = Enricher(g, cfg, rng).sample(rng)
     stats = edge_stats(g, eg.enriched_edges)
-    assert stats.counts["SELF_LOOP"] == n
-    assert stats.counts["KNN"] > 0 and stats.counts["SPECTRAL"] > 0
-    assert 10.0 < stats.edge_increase_pct < 200.0
+    assert stats["counts"]["SELF_LOOP"] == n
+    assert stats["counts"]["KNN"] > 0 and stats["counts"]["SPECTRAL"] > 0
+    assert 10.0 < stats["edge_increase_pct"] < 200.0

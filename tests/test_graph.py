@@ -1,10 +1,11 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskdg.enrich import EnrichConfig, Enricher
 from maskdg.graph import (
     EdgeOrigin,
     Graph,
@@ -283,9 +284,10 @@ def test_edge_stats_arithmetic():
     enriched = coalesce(np.vstack([g.edges, make_edges(extra, EdgeOrigin.KNN)]))
     added = enriched.shape[0] - g.num_edges
     stats = edge_stats(g, enriched)
-    assert stats.edge_increase_pct == pytest.approx(100.0 * added / g.num_edges)
-    assert stats.avg_degree_delta == pytest.approx(added / g.num_nodes)
-    assert sum(stats.counts.values()) == enriched.shape[0]
+    assert stats["edge_increase_pct"] == pytest.approx(
+        100.0 * added / g.num_edges)
+    assert stats["avg_degree_delta"] == pytest.approx(added / g.num_nodes)
+    assert sum(stats["counts"].values()) == enriched.shape[0]
 
 
 def test_edge_stats_specific_percentages():
@@ -296,18 +298,33 @@ def test_edge_stats_specific_percentages():
     extra = [(i, (i + 7) % 100) for i in range(58)]
     enriched = coalesce(np.vstack([g.edges, make_edges(extra, EdgeOrigin.SPECTRAL)]))
     stats = edge_stats(g, enriched)
-    assert stats.edge_increase_pct == pytest.approx(58.0)
+    assert stats["edge_increase_pct"] == pytest.approx(58.0)
 
 
 def test_edge_stats_identical_graphs_zero_increase():
     g = random_graph(seed=4)
     stats = edge_stats(g, g.edges)
-    assert stats.edge_increase_pct == pytest.approx(0.0)
+    assert stats["edge_increase_pct"] == pytest.approx(0.0)
 
 
 def test_edge_stats_empty_before_is_undefined():
     g = Graph(np.zeros((3, 1)), np.empty((0, 3), np.int64),
               np.zeros(3, dtype=int), 1)
     stats = edge_stats(g, make_edges([(0, 1)], EdgeOrigin.KNN))
-    assert stats.edge_increase_pct is None
-    assert asdict(stats)["edge_increase_pct"] is None
+    assert stats["edge_increase_pct"] is None
+
+
+def test_edge_stats_counts_no_input_self_loop_as_an_edge():
+    # the enrichment drops an input self-loop and re-adds it as a SELF_LOOP
+    # row; adding nothing else, it grows the graph by nothing
+    g = Graph(np.arange(3.0).reshape(3, 1),
+              coalesce(make_edges([(0, 1), (1, 0), (2, 2)],
+                                  EdgeOrigin.ORIGINAL)),
+              np.zeros(3, dtype=int), 1)
+    cfg = EnrichConfig(k=1, clusters=2, gamma_knn=0.0, gamma_spec=0.0)
+    rng = np.random.default_rng(0)
+    stats = edge_stats(g, Enricher(g, cfg, rng).sample(rng).enriched_edges)
+    assert stats["counts"] == {"ORIGINAL": 2, "KNN": 0, "SPECTRAL": 0,
+                               "SELF_LOOP": 3}
+    assert stats["edge_increase_pct"] == 0.0
+    assert stats["avg_degree_delta"] == 0.0

@@ -177,8 +177,8 @@ def test_train_smoke_history_length():
     result = train(ds, small_cfg(epochs=1))
     assert len(result.history) == 1
     rec = result.history[0]
-    assert np.isfinite(rec.task_loss)
-    assert rec.mean_mask is not None and 0 < rec.mean_mask < 1
+    assert np.isfinite(rec["task_loss"])
+    assert rec["mean_mask"] is not None and 0 < rec["mean_mask"] < 1
 
 
 def test_alternation_counts_match_config():
@@ -186,16 +186,16 @@ def test_alternation_counts_match_config():
     cfg = small_cfg(epochs=3, n_descent=4, n_ascent=2)
     result = train(ds, cfg)
     for rec in result.history:
-        assert rec.descent_steps == 4 * len(ds.source_graphs)
-        assert rec.ascent_steps == 2 * len(ds.source_graphs)
+        assert rec["descent_steps"] == 4 * len(ds.source_graphs)
+        assert rec["ascent_steps"] == 2 * len(ds.source_graphs)
 
 
 def test_no_mask_mode_runs_zero_ascent_steps():
     ds = two_domain_dataset()
     result = train(ds, small_cfg(mask_enabled=False))
     for rec in result.history:
-        assert rec.ascent_steps == 0
-        assert rec.mean_mask is None
+        assert rec["ascent_steps"] == 0
+        assert rec["mean_mask"] is None
 
 
 def test_scorer_runs_once_before_the_descent_steps_and_once_after_ascent(
@@ -222,7 +222,8 @@ def test_training_is_bit_deterministic():
         np.testing.assert_array_equal(p1, p2)
     for (n1, p1), (n2, p2) in zip(a.model.mask.named(), b.model.mask.named()):
         np.testing.assert_array_equal(p1, p2)
-    assert [r.task_loss for r in a.history] == [r.task_loss for r in b.history]
+    assert ([r["task_loss"] for r in a.history]
+            == [r["task_loss"] for r in b.history])
 
 
 def test_target_labels_never_influence_training():
@@ -249,7 +250,7 @@ def test_descent_reduces_loss_on_convex_like_fixture():
                               attn_dropout=0.0, layer_dropout=0.0),
     )
     result = train(ds, cfg)
-    losses = [r.task_loss for r in result.history]
+    losses = [r["task_loss"] for r in result.history]
     assert losses[-1] < losses[0]
 
 
@@ -286,7 +287,7 @@ def test_huge_sparsity_penalty_shrinks_mean_mask():
     ds = DomainDataset((toy_graph(7, n=14),))
     cfg = small_cfg(epochs=4, sparsity=1e3)
     result = train(ds, cfg)
-    means = [r.mean_mask for r in result.history]
+    means = [r["mean_mask"] for r in result.history]
     assert means[-1] < means[0]
 
 
@@ -393,22 +394,22 @@ def test_dual_ascent_in_training_moves_lambda():
 def test_perfect_predictions_score_one():
     y = np.array([0, 1, 2, 1, 0])
     m = f1_metrics(y, y.copy(), 3)
-    assert m.micro_f1 == m.macro_f1 == m.accuracy == 1.0
+    assert m["micro_f1"] == m["macro_f1"] == m["accuracy"] == 1.0
 
 
 def test_constant_prediction_on_balanced_classes():
     y_true = np.repeat(np.arange(5), 10)
     y_pred = np.zeros(50, dtype=int)
     m = f1_metrics(y_true, y_pred, 5)
-    assert m.micro_f1 == pytest.approx(0.2)
-    assert m.macro_f1 == pytest.approx((2 * 0.2 / 1.2) / 5, abs=1e-12)
+    assert m["micro_f1"] == pytest.approx(0.2)
+    assert m["macro_f1"] == pytest.approx((2 * 0.2 / 1.2) / 5, abs=1e-12)
 
 
 def test_unlabeled_rows_excluded_from_metrics():
     y_true = np.array([0, 1, -1])
     y_pred = np.array([0, 1, 0])
     m = f1_metrics(y_true, y_pred, 2)
-    assert m.accuracy == 1.0
+    assert m["accuracy"] == 1.0
 
 
 def test_metrics_need_labels():
