@@ -256,14 +256,13 @@ def cmd_synth(args) -> int:
     ctx = RunContext(args.out, "synth", dataclasses.asdict(cfg), cfg.seed,
                      artifacts=names + ["shift_report.json"])
     ds = generate(cfg)
-    paths = []
     for name, g in zip(names, ds.source_graphs):
         save_graph(g, ctx.out / name)
-        paths.append(str(ctx.out / name))
     report = verify_shift(ds) if ds.num_domains > 1 else {}
-    ctx.write_json("shift_report.json", {"graphs": paths, "shift": report})
+    # Names relative to --out, so the report does not depend on where it is.
+    ctx.write_json("shift_report.json", {"graphs": names, "shift": report})
     ctx.finish()
-    print(f"wrote {len(paths)} domains to {ctx.out}")
+    print(f"wrote {len(names)} domains to {ctx.out}")
     return EXIT_OK
 
 

@@ -391,15 +391,21 @@ def _field(seg: EdgeSegments, v: int, layers: int) -> np.ndarray:
     return seg.order[near[seg.dst]]
 
 
-def _group_firsts(keys: np.ndarray) -> np.ndarray:
-    """For each row of an (R, F) int array, the first row with the same
-    entries. np.unique(axis=0) gives the same rows but sorts them as opaque
-    bytes: on a 2-vCPU host duality_grid's run_s read 0.19 s with it and
-    0.11 s with this lexsort."""
-    order = np.lexsort(keys.T)                 # stable: groups keep row order
-    ranked = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+def _group_firsts(bits: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """For each row of an (R, ·) int array, the first row with the same
+    entries in `columns`. A column constant over the rows cannot split a
+    group, so it is skipped; the rest are read as strided views, sorted
+    together and compared one at a time, so no (R, columns) copy is made.
+    With no varying column every row is in row 0's group."""
+    cols = [c for c in (bits[:, j] for j in columns) if (c != c[:1]).any()]
+    if not cols:
+        return np.zeros(bits.shape[0], dtype=np.int64)
+    order = np.lexsort(cols)                   # stable: groups keep row order
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for c in cols:
+        ranked = c[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
     firsts = np.empty_like(order)
     firsts[order] = order[new][np.cumsum(new) - 1]
     return firsts
@@ -432,7 +438,7 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
 
     def block_loss(part: np.ndarray) -> np.ndarray:
         bits = part.view(np.int64)
-        firsts = [_group_firsts(bits[:, field]) for field in fields]
+        firsts = [_group_firsts(bits, field) for field in fields]
         leaders = np.zeros(part.shape[0], dtype=bool)
         for f in firsts:
             leaders[f] = True

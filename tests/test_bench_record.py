@@ -49,7 +49,7 @@ def timed(run_s, reference_s, rss=50.0):
     run = run_result(run_s=run_s, setup_s=0.01)
     run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
     run.update(attempted=3, failed=0, reference_s=[reference_s],
-               envs=[{"numpy": "x"}])
+               envs=[{"numpy": "x"}], checks=[])
     return run
 
 
@@ -88,6 +88,7 @@ def fake_bench(monkeypatch, tmp_path, other):
         calls.append((seed, trace, side, workload, seconds))
         if trace:
             return {"attempted": 1, "failed": 0, "envs": [{"numpy": "x"}],
+                    "checks": [],
                     "metrics": {"a.calls": {"value": 2.0, "unit": "count"}}}
         return timed(1.0 if side == "rev" else 0.8,
                      0.03 if side == "rev" else 0.032)
@@ -147,6 +148,50 @@ def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
     assert record["workloads"]["dg_2x2"]["per_layer"]["a.calls"][
         "median"] == 2.0
     assert record["attempted"] == 2 * 3 * (2 * 3 + 1)
+
+
+def test_record_names_each_run_that_failed(tmp_path, monkeypatch):
+    other = tmp_path / "rev"
+    fake_bench(monkeypatch, tmp_path, other)
+    monkeypatch.setattr(bench_record, "extract",
+                        lambda rev, dest: (other.mkdir(), "c0ffee")[1])
+    monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
+                        lambda: contextlib.nullcontext(str(other)))
+    passing = bench_record.run_bench
+
+    def failing(root, workload, seed, trace, seconds):
+        run = passing(root, workload, seed, trace, seconds)
+        if (root, workload, seed, trace) == (other, "duality_grid", 5, 0):
+            run.update(failed=2, checks=["weak_duality", "raised:ValueError"])
+        if (workload, seed, trace) == ("dg_2x2", 4, 1):
+            run.update(failed=1, checks=["coverage"])
+        return run
+
+    monkeypatch.setattr(bench_record, "run_bench", failing)
+    assert bench_record.main(["--tag", "t", "--seeds", "4", "5",
+                              "--against", "HEAD~1"]) == 1
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["failed"] == 3
+    assert record["failures"] == [
+        {"side": "change", "workload": "dg_2x2", "seed": 4, "trace": 1,
+         "attempted": 1, "failed": 1, "checks": ["coverage"]},
+        {"side": "against", "workload": "duality_grid", "seed": 5, "trace": 0,
+         "attempted": 3, "failed": 2,
+         "checks": ["weak_duality", "raised:ValueError"]}]
+
+
+def test_run_reads_the_failed_checks_from_its_fail_lines(tmp_path):
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "print('env {}')\n"
+        "print('FAIL duality_grid iteration 3: weak_duality')\n"
+        "print('FAIL duality_grid iteration 7: raised:ValueError')\n"
+        "print('  reference_s   0.03 s median')\n"
+        "print('{\"attempted\": 9, \"failed\": 2, \"metrics\": {}}')\n")
+    run = bench_record.run_bench(tmp_path, "duality_grid", 1, 0, 1)
+    assert (run["attempted"], run["failed"]) == (9, 2)
+    assert run["checks"] == ["weak_duality", "raised:ValueError"]
 
 
 def test_extract_writes_the_committed_files(tmp_path, monkeypatch):

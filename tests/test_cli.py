@@ -48,6 +48,17 @@ def test_synth_writes_graphs_and_manifest(domains):
     assert manifest["config"]["nodes_per_domain"] == 40
 
 
+def test_shift_report_does_not_depend_on_the_output_directory(tmp_path):
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        assert main(["synth", "--num-domains", "2", "--nodes-per-domain",
+                     "20", "--seed", "4", "--out", str(out)]) == 0
+        reports.append((out / "shift_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["graphs"] == ["domain0.graph",
+                                                "domain1.graph"]
+
+
 def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch):
     # Reruns are bit-identical only at one BLAS thread count, so a rerun at
     # another count must show in the manifest.

@@ -425,6 +425,81 @@ def test_loss_over_masks_groups_rows_on_their_bits(monkeypatch):
                                   masks.view(np.int64))
 
 
+def reference_firsts(keys, columns):
+    """The first row whose entries in `columns` equal each row's, through a
+    dict keyed by those entries."""
+    seen = {}
+    return [seen.setdefault(tuple(row), i)
+            for i, row in enumerate(keys[:, columns].tolist())]
+
+
+NEG_ZERO = int(np.array(-0.0).view(np.int64))      # the bits of -0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_firsts_matches_a_dict_of_first_rows(data):
+    rows = data.draw(st.integers(0, 30), "rows")
+    width = data.draw(st.integers(1, 5), "width")
+    # A small pool makes rows repeat; 0 and NEG_ZERO are 0.0 and -0.0.
+    cells = data.draw(st.lists(st.sampled_from([0, NEG_ZERO, 1, -1, 7]),
+                               min_size=rows * width,
+                               max_size=rows * width), "cells")
+    keys = np.array(cells, dtype=np.int64).reshape(rows, width)
+    constant = data.draw(st.lists(st.booleans(), min_size=width,
+                                  max_size=width), "constant columns")
+    keys[:, constant] = keys[:1, constant]
+    columns = np.array(data.draw(st.lists(st.integers(0, width - 1),
+                                          unique=True), "columns"), dtype=int)
+    got = tasknet._group_firsts(keys, columns)
+    assert got.shape == (rows,)
+    np.testing.assert_array_equal(got, reference_firsts(keys, columns))
+
+
+@pytest.mark.parametrize("floats, columns, want", [
+    # constant columns only: every row in row 0's group
+    ([[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]], [0, 1], [0, 0, 0]),
+    # no columns at all
+    ([[0.5], [1.0]], [], [0, 0]),
+    # a constant column beside one varying column, rows repeating
+    ([[1.0, 0.5], [1.0, 0.0], [1.0, 0.5], [1.0, 0.0]], [0, 1], [0, 1, 0, 1]),
+    # -0.0 and 0.0 are equal floats with different bits
+    ([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]], [0, 1], [0, 1, 0]),
+    # a column left out cannot split a group
+    ([[0.0, 1.0], [0.5, 1.0], [0.0, 0.5]], [0], [0, 1, 0]),
+    # two varying columns, rows repeating out of order
+    ([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5], [0.0, 0.5], [0.5, 0.0]], [0, 1],
+     [0, 1, 2, 1, 0]),
+])
+def test_group_firsts_cases(floats, columns, want):
+    keys = np.array(floats).view(np.int64)
+    columns = np.array(columns, dtype=int)
+    np.testing.assert_array_equal(tasknet._group_firsts(keys, columns), want)
+    assert reference_firsts(keys, columns) == want
+
+
+def test_a_block_constant_on_every_field_forwards_one_leader(monkeypatch):
+    cfg = TaskNetConfig(layers=2, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    p = small_params(3, 2, cfg, seed=6)
+    edges = graph_with_loops([(0, 1), (1, 2), (2, 0)], 3)
+    X = np.random.default_rng(6).normal(size=(3, 3))
+    labels = np.array([0, 1, 1])
+    masks = np.tile(np.random.default_rng(6).uniform(size=edges.shape[0]),
+                    (9, 1))
+    forward, forwarded = tasknet.tasknet_forward_var, []
+
+    def spy(pv, X, edges, mask, *args):
+        forwarded.append(mask.data.copy())
+        return forward(pv, X, edges, mask, *args)
+
+    single = cross_entropy(tasknet_forward(p, X, edges, masks[0], cfg), labels)
+    monkeypatch.setattr(tasknet, "tasknet_forward_var", spy)
+    out = loss_over_masks(p, X, edges, labels, masks, cfg)
+    assert [m.shape[0] for m in forwarded] == [1]
+    np.testing.assert_array_equal(out, np.full(9, single))
+
+
 def test_loss_over_masks_of_an_empty_batch_is_empty():
     cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
                         attn_dropout=0.0, layer_dropout=0.0)

@@ -11,7 +11,10 @@ the per-layer metrics. It reads each run's last-line JSON and its `env`
 lines, and writes BENCH_<tag>.json at the repository root: for every
 workload and metric the median across seeds, the quartiles and their
 distance (IQR), the per-seed values, the seeds, the commands and the
-environment (numpy, BLAS and its thread count, cores).
+environment (numpy, BLAS and its thread count, cores). Each run that
+failed a check is listed under "failures" with its side, workload, seed
+and trace mode, its attempted and failed counts, and the names of the
+checks it printed as `FAIL <workload> iteration <n>: <check>`.
 
 `--against REV` also measures the committed files of REV, extracted by
 `git archive` into a temporary directory, against the working tree: each
@@ -45,6 +48,7 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LINE = re.compile(r"^\s+reference_s\s+(\S+)")
+FAIL_LINE = re.compile(r"^FAIL \S+ iteration \d+: (.+)$")
 
 
 class RunError(Exception):
@@ -54,8 +58,9 @@ class RunError(Exception):
 def run_bench(root: Path, workload: str, seed: int, trace: int,
               seconds: float) -> dict:
     """One run of `root`'s benchmark: its result JSON, with the environment
-    it printed under "envs" and its median reference kernel time under
-    "reference_s"."""
+    it printed under "envs", its median reference kernel time under
+    "reference_s" and the checks it failed, one per FAIL line, under
+    "checks"."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -75,6 +80,7 @@ def run_bench(root: Path, workload: str, seed: int, trace: int,
                              map(REFERENCE_LINE.match, lines) if m]
     if not result["reference_s"]:
         raise RunError(f"{' '.join(cmd[1:])} printed no reference_s")
+    result["checks"] = [m.group(1) for m in map(FAIL_LINE.match, lines) if m]
     return result
 
 
@@ -178,6 +184,19 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     plain, traced, others = ({name: [] for name in names} for _ in range(3))
+    failures = []
+
+    def bench(root: Path, name: str, seed: int, trace: int) -> dict:
+        run = run_bench(root, name, seed, trace, seconds)
+        checks = run.pop("checks")
+        if run["failed"]:
+            failures.append({
+                "side": "change" if root == ROOT else "against",
+                "workload": name, "seed": seed, "trace": trace,
+                "attempted": run["attempted"], "failed": run["failed"],
+                "checks": checks})
+        return run
+
     commit = None
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -187,10 +206,9 @@ def main(argv=None) -> int:
             for i, seed in enumerate(args.seeds):
                 for name in names:
                     for root in sides if i % 2 == 0 else sides[::-1]:
-                        run = run_bench(root, name, seed, 0, seconds)
+                        run = bench(root, name, seed, 0)
                         (plain if root == ROOT else others)[name].append(run)
-                    traced[name].append(run_bench(ROOT, name, seed, 1,
-                                                  seconds))
+                    traced[name].append(bench(ROOT, name, seed, 1))
                     line = f"seed {seed} {name}: run_s " + ", ".join(
                         f"{side[name][-1]['metrics']['run_s']['value']:.4g}"
                         f" {label}" for side, label in
@@ -215,6 +233,7 @@ def main(argv=None) -> int:
         "environment": envs[0],
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
+        "failures": failures,
         "workloads": summarise(plain, traced),
     }
     if commit is not None:
