@@ -241,10 +241,13 @@ class RunContext:
         write_atomic(path, text)
         return path
 
-    def finish(self) -> None:
+    def finish(self, **extra) -> None:
+        """Write timings.json: the run's wall seconds and any `extra`
+        wall-clock entries, such as each oracle check's seconds."""
         write_atomic(self.out / "timings.json", _json_bytes({
             "subcommand": self.subcommand,
             "seconds": time.time() - self.started,
+            **extra,
         }))
 
 
@@ -411,11 +414,14 @@ def cmd_oracle(args) -> int:
              or list(theory.ORACLES))
     ctx = RunContext(args.out, "oracle", {"checks": names}, args.seed,
                      artifacts=["oracle.json"])
-    results = {n: theory.ORACLES[n](args.seed).passed for n in names}
-    for name, ok in results.items():
-        print(f"{name:14s} {'PASS' if ok else 'FAIL'}")
+    results, seconds = {}, {}
+    for name in names:
+        start = time.perf_counter()
+        results[name] = theory.ORACLES[name](args.seed).passed
+        seconds[name] = time.perf_counter() - start
+        print(f"{name:14s} {'PASS' if results[name] else 'FAIL'}")
     ctx.write_json("oracle.json", {"results": results})
-    ctx.finish()
+    ctx.finish(checks=seconds)
     return EXIT_OK if all(results.values()) else EXIT_CHECK_FAILED
 
 

@@ -20,8 +20,10 @@ from .graph import UNLABELED
 LEAKY_SLOPE = 0.2
 
 # Byte budget of the widest edge tensor of a forward-only pass, which runs in
-# blocks (mask rows in loss_over_masks, edges in gat_layer and masknet), and
-# of the int64 view of the mask rows loss_over_masks groups at once.
+# blocks (mask rows in loss_over_masks, edges in gat_layer and masknet), of
+# the int64 view of the mask rows loss_over_masks groups at once, and of the
+# (rows, E) mask block the weak-duality oracle fills for each such group
+# (`mask_block_rows`).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -411,6 +413,13 @@ def _group_firsts(bits: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return firsts
 
 
+def mask_block_rows(num_edges: int) -> int:
+    """Rows of one block of a (B, num_edges) mask batch that
+    loss_over_masks groups at once: as many as fit _CHUNK_BYTES, at least
+    one."""
+    return max(1, _CHUNK_BYTES // (8 * num_edges))
+
+
 def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     labels: np.ndarray, masks: np.ndarray,
                     cfg: TaskNetConfig) -> np.ndarray:
@@ -433,7 +442,7 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     pv = ad.param_vars(p, track=False)
     width = len(p.layers[0]) * p.out_w.shape[1]
     rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))  # a slice
-    block = max(rows, _CHUNK_BYTES // (8 * masks.shape[1]))
+    block = mask_block_rows(masks.shape[1])
     fields = [_field(seg, v, len(p.layers)) for v in range(seg.num_nodes)]
 
     def block_loss(part: np.ndarray) -> np.ndarray:

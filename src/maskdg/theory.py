@@ -27,10 +27,11 @@ from .graph import EdgeOrigin, coalesce, make_edges
 from .masknet import (MaskNetParams, init_masknet, mask_forward,
                       mask_forward_var)
 from .tasknet import (TaskNetConfig, TaskNetParams, cross_entropy,
-                      init_tasknet, loss_over_masks, tasknet_forward)
+                      init_tasknet, loss_over_masks, mask_block_rows,
+                      tasknet_forward)
 
 GRID_EDGE_CAP = 6
-GRID_CHUNK = 200_000    # most points in one iter_mask_grid chunk
+GRID_CHUNK = 20_000     # most points in one iter_mask_grid chunk
 DEFAULT_RESOLUTION = 0.05
 KKT_BOUNDARY_TOL = 1e-9
 LAM = 0.01      # the scorer's sparsity coefficient in criteria 1 and 2
@@ -76,11 +77,14 @@ def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION):
     """Yield chunks of the full grid {0, resolution, ..., 1}^m, in row-major
     order: the last column varies fastest.
 
-    The trailing columns, as many as fit GRID_CHUNK points (at least one),
-    are a Cartesian product written by broadcasting each level vector along
-    its axis; each chunk is that product under one setting of the leading
-    columns.
+    The trailing columns, as many as keep L^(tail - 1) <= GRID_CHUNK (at
+    least one), are a Cartesian product written by broadcasting each level
+    vector along its axis; each chunk is that product under one setting of
+    the leading columns, with the first trailing column cut into runs of as
+    many levels as fit GRID_CHUNK points (at least one).
     """
+    if m < 1:
+        raise ValueError(f"a mask grid needs m >= 1 edges, got m={m}")
     if m > GRID_EDGE_CAP:
         raise ValueError(f"grid too large: m={m} exceeds cap {GRID_EDGE_CAP}")
     if not (np.isfinite(resolution) and 0 < resolution <= 1):
@@ -88,15 +92,19 @@ def iter_mask_grid(m: int, resolution: float = DEFAULT_RESOLUTION):
     levels = np.round(np.arange(0.0, 1.0 + resolution / 2, resolution), 12)
     L = levels.size
     tail = m
-    while tail > 1 and L ** tail > GRID_CHUNK:
+    while tail > 1 and L ** (tail - 1) > GRID_CHUNK:
         tail -= 1
+    run = max(1, GRID_CHUNK // L ** (tail - 1))   # levels per chunk
     for lead in itertools.product(levels, repeat=m - tail):
-        pts = np.empty((L,) * tail + (m,))
-        pts[..., :m - tail] = lead
-        for col in range(tail):
-            axis = (L,) + (1,) * (tail - 1 - col)    # levels along axis col
-            pts[..., m - tail + col] = levels.reshape(axis)
-        yield pts.reshape(L ** tail, m)
+        for start in range(0, L, run):
+            first = levels[start:start + run]
+            pts = np.empty((first.size,) + (L,) * (tail - 1) + (m,))
+            pts[..., :m - tail] = lead
+            pts[..., m - tail] = first.reshape((-1,) + (1,) * (tail - 1))
+            for col in range(1, tail):
+                axis = (L,) + (1,) * (tail - 1 - col)  # levels along axis col
+                pts[..., m - tail + col] = levels.reshape(axis)
+            yield pts.reshape(-1, m)
 
 
 @dataclass
@@ -126,6 +134,8 @@ def dual_upper_bound(loss_fn: Callable[[np.ndarray], np.ndarray], m: int,
     loss, which no maximum would notice; the first is named with its mask.
     """
     lambda_grid = [float(l) for l in lambda_grid]
+    if not lambda_grid:
+        raise ValueError("lambda grid is empty")
     if any(l < 0 for l in lambda_grid):
         raise ValueError("multipliers must be nonnegative")
     if not rho >= -1e-12:
@@ -159,18 +169,35 @@ def tasknet_mask_loss_fn(task: TaskNetParams, X: np.ndarray,
                          edges: np.ndarray, labels: np.ndarray,
                          cfg: TaskNetConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt the classifier to a loss over scorable-mask batches; self-loop
-    tail entries ride along fixed at 1."""
+    tail entries ride along fixed at 1.
+
+    A batch runs in blocks of `mask_block_rows` rows, one loss_over_masks
+    call each, so every call groups exactly the block it gets and the losses
+    are those of one call on the whole (B, E) batch. The blocks are written
+    into the scorable columns of one (block, E) buffer of ones, made on the
+    first call and kept: a fresh buffer per block is returned to the system
+    and faulted back in each time.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     scorable = edges[:, 0] != edges[:, 1]
     m = int(scorable.sum())
+    block = None
 
     def fn(batch: np.ndarray) -> np.ndarray:
+        nonlocal block
         batch = np.atleast_2d(batch)
         if batch.shape[1] != m:
             raise ValueError(f"expected {m} scorable mask entries")
-        full = np.ones((batch.shape[0], edges.shape[0]))
-        full[:, scorable] = batch
-        return loss_over_masks(task, X, edges, labels, full, cfg)
+        if block is None:
+            E = edges.shape[0]
+            block = np.ones((mask_block_rows(E), E))
+        out = np.empty(batch.shape[0])
+        for i in range(0, batch.shape[0], block.shape[0]):
+            part = block[:batch.shape[0] - i]       # the last may be short
+            part[:, scorable] = batch[i:i + part.shape[0]]
+            out[i:i + part.shape[0]] = loss_over_masks(task, X, edges, labels,
+                                                       part, cfg)
+        return out
 
     return fn
 

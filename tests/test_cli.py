@@ -337,6 +337,31 @@ def test_oracle_all_checks_pass(tmp_path, monkeypatch, oracle_runs):
     assert results == dict.fromkeys(theory.ORACLES, True)
 
 
+def test_oracle_times_each_check_in_timings_only(tmp_path, monkeypatch):
+    # The second run's checks take longer; oracle.json keeps its bytes and
+    # timings.json holds one entry per selected check.
+    import time
+
+    def check(delay):
+        def run(seed):
+            time.sleep(delay)
+            return SimpleNamespace(passed=True)
+        return run
+
+    written = []
+    for delay in (0.0, 0.05):
+        for name in theory.ORACLES:
+            monkeypatch.setitem(theory.ORACLES, name, check(delay))
+        out = tmp_path / f"orc{delay}"
+        assert main(["oracle", "--kkt", "--surrogate", "--out", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings["checks"]) == ["kkt", "surrogate"]
+        assert all(s >= delay for s in timings["checks"].values())
+        written.append((out / "oracle.json").read_bytes())
+    assert written[0] == written[1]
+    assert set(json.loads(written[0])) == {"results", "manifest_sha256"}
+
+
 def test_ablate_lambda_runs_grid(domains, tmp_path):
     out = tmp_path / "lam"
     rc = main(["ablate-lambda",

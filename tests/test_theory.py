@@ -1,12 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maskdg import theory
+from maskdg import tasknet, theory
 from maskdg.graph import EdgeOrigin, make_edges
 from maskdg.masknet import init_masknet
-from maskdg.tasknet import TaskNetConfig, init_tasknet
+from maskdg.tasknet import TaskNetConfig, init_tasknet, loss_over_masks
 from maskdg.theory import (
     SurrogateProblem,
     dual_upper_bound,
@@ -94,6 +95,58 @@ def test_dual_bound_on_real_tasknet_instance():
                               resolution=0.1)
     assert report.all_hold
     assert np.isfinite(report.primal)
+
+
+def criterion4_instance(seed=7):
+    """One of criterion 4's three-node classifiers: 4 scorable edges and 3
+    self-loops."""
+    rng = np.random.default_rng(seed)
+    edges = np.vstack([
+        make_edges([(0, 1), (1, 2), (2, 0), (1, 0)], EdgeOrigin.ORIGINAL),
+        make_edges([(j, j) for j in range(3)], EdgeOrigin.SELF_LOOP),
+    ])
+    cfg = TaskNetConfig(layers=1, heads=2, head_dim=3,
+                        attn_dropout=0.0, layer_dropout=0.0)
+    X = rng.normal(size=(3, 3))
+    labels = np.array([0, 1, 0])
+    return init_tasknet(3, 2, cfg, rng), X, edges, labels, cfg
+
+
+def test_dual_bound_memory_stays_within_a_mask_block():
+    # The criterion-4 grid is 21^4 masks; streamed, the oracle holds one grid
+    # chunk, one (block, E) mask buffer and a block's grouping bookkeeping,
+    # where expanding a whole chunk to (B, E) peaked near 20 MiB.
+    tracemalloc.start()
+    try:
+        fn = tasknet_mask_loss_fn(*criterion4_instance())
+        report = dual_upper_bound(fn, m=4, rho=0.5,
+                                  lambda_grid=[0.0, 0.5, 1.0, 5.0],
+                                  resolution=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_hold
+    assert peak < 6 * 2 ** 20
+
+
+def test_mask_loss_fn_matches_loss_over_masks_across_blocks(monkeypatch):
+    # 110 rows in blocks of 40 (the last one short): the fn's losses are the
+    # bits of one loss_over_masks call on the expanded (B, E) batch, and the
+    # buffer it reuses carries nothing from one call to the next.
+    task, X, edges, labels, cfg = criterion4_instance()
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 40 * 8 * edges.shape[0])
+    rng = np.random.default_rng(0)
+    batch = rng.choice([0.0, 0.5, 1.0], size=(110, 4))
+    other = rng.uniform(size=(97, 4))
+    full = np.ones((batch.shape[0], edges.shape[0]))
+    full[:, :4] = batch
+    want = loss_over_masks(task, X, edges, labels, full, cfg)
+    fn = tasknet_mask_loss_fn(task, X, edges, labels, cfg)
+    first = fn(batch)
+    fn(other)
+    again = fn(batch)
+    for got in (first, again):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_grid_cap_enforced():
@@ -186,6 +239,31 @@ def test_negative_multiplier_rejected():
     prob = SurrogateProblem(c=np.array([0.1]))
     with pytest.raises(ValueError):
         dual_upper_bound(prob.penalized_objective, 1, 0.5, [-1.0])
+
+
+def test_dual_bound_rejects_an_empty_multiplier_grid():
+    # With no multiplier there is nothing to check, so no bound may "hold".
+    prob = SurrogateProblem(c=np.array([0.5, 0.1]))
+    with pytest.raises(ValueError, match="lambda grid is empty"):
+        dual_upper_bound(prob.penalized_objective, 2, 0.5, [])
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_grid_rejects_fewer_than_one_edge(m):
+    with pytest.raises(ValueError, match="m >= 1"):
+        next(iter_mask_grid(m))
+
+
+def test_dual_bound_rejects_a_mask_of_no_edges():
+    # A grid over no edges is one empty row whose mean is NaN: no point is
+    # feasible, and the bound would "hold" with primal -inf.
+    with pytest.raises(ValueError, match="m >= 1"):
+        dual_upper_bound(lambda b: np.zeros(len(b)), 0, 0.5, [0.0, 1.0])
+    task, X, edges, labels, cfg = criterion4_instance()
+    loops = edges[edges[:, 0] == edges[:, 1]]
+    fn = tasknet_mask_loss_fn(task, X, loops, labels, cfg)
+    with pytest.raises(ValueError, match="m >= 1"):
+        dual_upper_bound(fn, 0, 0.5, [0.0, 1.0])
 
 
 # -- strong duality on the surrogate --------------------------------------------
