@@ -9,7 +9,7 @@ The whole scorer is one tape op with a hand-written VJP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,11 +31,7 @@ class MaskNetParams(ad.Params):
 
     def named(self):
         """Stable (name, array) iteration used by optimizers and gradchecks."""
-        return [
-            ("proj_w", self.proj_w), ("proj_b", self.proj_b),
-            ("mlp_w1", self.mlp_w1), ("mlp_b1", self.mlp_b1),
-            ("mlp_w2", self.mlp_w2), ("mlp_b2", self.mlp_b2),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def map(self, fn) -> "MaskNetParams":
         return MaskNetParams(*(fn(arr) for _, arr in self.named()))
@@ -114,6 +110,8 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
         logit = (h @ W2.T + b2).reshape(-1)
         t = np.exp(-np.abs(logit))                   # stable in both tails
         s[lo:hi] = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    if not np.isfinite(s).all():
+        raise FloatingPointError("non-finite edge score in the mask scorer")
     values[scorable] = s
     if not taped:
         return ad.Var(values), scorable

@@ -26,7 +26,8 @@ def adam_step(state: AdamState, params: ad.Params,
               weight_decay: float = 0.0) -> None:
     """One in-place Adam update of `params` (built by `ad.packed`): the
     grads are gathered in named() order and `params.flat` moves at once,
-    each entry by the bits a per-tensor update would give it."""
+    each entry by the bits a per-tensor update would give it. Raises
+    FloatingPointError naming the first tensor the update left non-finite."""
     named, w = params.named(), params.flat
     if w is None or any(arr.base is not w for _, arr in named):
         raise ValueError("adam_step needs parameters packed by ad.packed")
@@ -46,3 +47,7 @@ def adam_step(state: AdamState, params: ad.Params,
     denom = np.sqrt(v / (1 - BETA2 ** state.step))
     denom += EPS
     w -= lr * (m / (1 - BETA1 ** state.step)) / denom
+    if not np.isfinite(w).all():
+        ends = np.cumsum([arr.size for _, arr in named])
+        bad = np.searchsorted(ends, np.argmin(np.isfinite(w)), "right")
+        raise FloatingPointError(f"non-finite update of {named[bad][0]}")

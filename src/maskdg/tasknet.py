@@ -54,10 +54,9 @@ class TaskNetConfig:
 
 
 @dataclass
-class HeadParams:
-    """One attention head: feature transform W, attention vector a
-    (length 2*head_dim + 1, last slot reads the mask channel), and the
-    scalar mask weight."""
+class LayerParams:
+    """The heads of one attention layer stacked on axis 0: W (H, d_h, D),
+    a (H, 2*d_h + 1), whose last slot reads the mask channel, and w (H,)."""
 
     W: np.ndarray
     a: np.ndarray
@@ -66,46 +65,38 @@ class HeadParams:
 
 @dataclass
 class TaskNetParams(ad.Params):
-    layers: List[List[HeadParams]]
+    layers: List[LayerParams]
     out_w: np.ndarray
 
     def named(self):
-        out = []
-        for l, heads in enumerate(self.layers):
-            for k, h in enumerate(heads):
-                out.append((f"layer{l}.head{k}.W", h.W))
-                out.append((f"layer{l}.head{k}.a", h.a))
-                out.append((f"layer{l}.head{k}.w", h.w))
-        out.append(("out_w", self.out_w))
-        return out
+        return [(f"layer{l}.{leaf}", getattr(lp, leaf))
+                for l, lp in enumerate(self.layers)
+                for leaf in "Waw"] + [("out_w", self.out_w)]
 
     def map(self, fn) -> "TaskNetParams":
         return TaskNetParams(
-            layers=[[HeadParams(fn(h.W), fn(h.a), fn(h.w)) for h in heads]
-                    for heads in self.layers],
+            layers=[LayerParams(fn(lp.W), fn(lp.a), fn(lp.w))
+                    for lp in self.layers],
             out_w=fn(self.out_w),
         )
 
 
 def init_tasknet(d: int, num_classes: int, cfg: TaskNetConfig,
                  rng: np.random.Generator) -> TaskNetParams:
-    """Uniform fan-in init for W, a and the output head; mask weights start at 1."""
-    layers = []
-    d_in = d
-    for l in range(cfg.layers):
-        heads = []
-        for _ in range(cfg.heads):
-            wb = 1.0 / np.sqrt(d_in)
-            ab = 1.0 / np.sqrt(2 * cfg.head_dim + 1)
-            heads.append(HeadParams(
-                W=rng.uniform(-wb, wb, size=(cfg.head_dim, d_in)),
-                a=rng.uniform(-ab, ab, size=(2 * cfg.head_dim + 1,)),
-                w=np.ones(1),
-            ))
-        layers.append(heads)
-        d_in = cfg.heads * cfg.head_dim
-    ob = 1.0 / np.sqrt(cfg.head_dim)
-    out_w = rng.uniform(-ob, ob, size=(num_classes, cfg.head_dim))
+    """Uniform fan-in init (per head: W, then a); mask weights start at 1."""
+    H, d_h = cfg.heads, cfg.head_dim
+    layers, d_in = [], d
+    for _ in range(cfg.layers):
+        lp = LayerParams(np.empty((H, d_h, d_in)), np.empty((H, 2 * d_h + 1)),
+                         np.ones(H))
+        wb, ab = 1.0 / np.sqrt(d_in), 1.0 / np.sqrt(2 * d_h + 1)
+        for k in range(H):
+            lp.W[k] = rng.uniform(-wb, wb, size=(d_h, d_in))
+            lp.a[k] = rng.uniform(-ab, ab, size=(2 * d_h + 1,))
+        layers.append(lp)
+        d_in = H * d_h
+    ob = 1.0 / np.sqrt(d_h)
+    out_w = rng.uniform(-ob, ob, size=(num_classes, d_h))
     return TaskNetParams(layers=layers, out_w=out_w)
 
 
@@ -186,7 +177,7 @@ class EdgeSegments:
         return ex / self.take(self.sum(ex), self.dst)
 
 
-def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
+def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
               seg: EdgeSegments, keep: Optional[np.ndarray] = None,
               out_keep: Optional[np.ndarray] = None,
               out_w: Optional[ad.Var] = None, layer: int = 0) -> ad.Var:
@@ -205,14 +196,13 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
     `seg.blocks` whose (..., H, d_h, E) tensors fit in _CHUNK_BYTES; every
     node's softmax and sum see the same operands, so the bits match one pass.
     """
-    H, d_h = len(heads), heads[0].W.data.shape[0]
-    W = np.concatenate([hp.W.data for hp in heads])           # (H d_h, D)
-    a = np.stack([hp.a.data for hp in heads])                 # (H, 2 d_h + 1)
-    w = np.concatenate([hp.w.data for hp in heads])           # (H,)
+    H, d_h, D = lp.W.data.shape
+    W = lp.W.data.reshape(H * d_h, D)                         # a view
+    a, w = lp.a.data, lp.w.data                         # (H, 2 d_h + 1), (H,)
     P = a[:, :2 * d_h].reshape(H, 2, d_h)                     # (H, 2, d_h)
     c = (a[:, 2 * d_h] * w)[:, None, None]                    # (H, 1, 1)
     take = seg.take
-    params = [v for hp in heads for v in (hp.W, hp.a, hp.w)]
+    params = [lp.W, lp.a, lp.w]
     want_params = any(v.requires_grad for v in params)
     final = out_w is not None
     head = [out_w] if final else []
@@ -290,14 +280,12 @@ def gat_layer(h: ad.Var, heads: List[HeadParams], mask: ad.Var,
         if h.requires_grad:
             grads.append((h, g_z.T @ W))
         if want_params:
-            g_W = g_z @ x
             g_P = g_s @ np.swapaxes(z, 1, 2)                  # (H, 2, d_h)
-            g_c = (g_raw * m).sum(axis=(1, 2))
-            for k, hp in enumerate(heads):
-                grads += [(hp.W, g_W[k * d_h:(k + 1) * d_h]),
-                          (hp.a, np.concatenate([g_P[k].ravel(),
-                                                 g_c[k] * w[k:k + 1]])),
-                          (hp.w, g_c[k] * a[k, 2 * d_h:])]
+            g_c = (g_raw * m).sum(axis=(1, 2))                # (H,)
+            grads += [(lp.W, (g_z @ x).reshape(H, d_h, D)),
+                      (lp.a, np.concatenate([g_P.reshape(H, 2 * d_h),
+                                             (g_c * w)[:, None]], axis=1)),
+                      (lp.w, g_c * a[:, 2 * d_h])]
         return grads
 
     return ad.Var(y, parents=(h, mask, *head, *params), vjp=vjp)
@@ -317,17 +305,17 @@ def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     """
     seg = seg or EdgeSegments(edges, X.shape[0])
     h = ad.constant(X)
-    for l, heads in enumerate(pv.layers):
+    for l, lp in enumerate(pv.layers):
         final = l == len(pv.layers) - 1
         keep = out_keep = None
         if dropout_rng is not None and cfg.attn_dropout > 0:
-            keep = ad.dropout_keep(dropout_rng, (len(heads), seg.src.size),
+            keep = ad.dropout_keep(dropout_rng, (cfg.heads, seg.src.size),
                                    cfg.attn_dropout)
         if dropout_rng is not None and cfg.layer_dropout > 0 and not final:
-            width = len(heads) * heads[0].W.data.shape[0]
+            width = cfg.heads * cfg.head_dim
             out_keep = ad.dropout_keep(dropout_rng, (seg.num_nodes, width),
                                        cfg.layer_dropout)
-        h = gat_layer(h, heads, mask, seg, keep, out_keep,
+        h = gat_layer(h, lp, mask, seg, keep, out_keep,
                       pv.out_w if final else None, l)
     return h
 
@@ -335,9 +323,8 @@ def tasknet_forward_var(pv: TaskNetParams, X: np.ndarray, edges: np.ndarray,
 def tasknet_forward(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
                     mask_values: np.ndarray, cfg: TaskNetConfig) -> np.ndarray:
     """Evaluation-mode logits as a plain array (no dropout, no gradients)."""
-    out = tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
-                              ad.constant(mask_values), cfg, dropout_rng=None)
-    return out.data
+    return tasknet_forward_var(ad.param_vars(p, track=False), X, edges,
+                               ad.constant(mask_values), cfg).data
 
 
 def _nll_terms(logits: np.ndarray, labels: np.ndarray):
@@ -440,7 +427,7 @@ def loss_over_masks(p: TaskNetParams, X: np.ndarray, edges: np.ndarray,
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
     seg = EdgeSegments(edges, X.shape[0])
     pv = ad.param_vars(p, track=False)
-    width = len(p.layers[0]) * p.out_w.shape[1]
+    width = cfg.heads * cfg.head_dim
     rows = max(1, _CHUNK_BYTES // (8 * masks.shape[1] * width))  # a slice
     block = mask_block_rows(masks.shape[1])
     fields = [_field(seg, v, len(p.layers)) for v in range(seg.num_nodes)]

@@ -363,22 +363,22 @@ def typed_config(cls, data: dict, where: str = ""):
     return cls(**data)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def _arrays(model: TrainedModel) -> dict:
+    """The model's tensors by checkpoint key, in named() order."""
+    return {f"{prefix}.{name}": arr
+            for prefix, params in (("task", model.task), ("mask", model.mask))
+            for name, arr in params.named()}
 
 
 def save_checkpoint(path, model: TrainedModel) -> None:
     """Single-file npz: parameter tensors under task./mask. prefixes plus a
     JSON metadata entry (config, final lambda, version)."""
-    arrays = {}
-    for name, arr in model.task.named():
-        arrays[f"task.{name}"] = arr
-    for name, arr in model.mask.named():
-        arrays[f"mask.{name}"] = arr
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "config": dataclasses.asdict(model.cfg),
-        "final_lambda": model.final_lambda,
-    }
+    arrays = _arrays(model)
+    meta = {"version": CHECKPOINT_VERSION, "final_lambda": model.final_lambda,
+            "config": dataclasses.asdict(model.cfg)}
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     buf = io.BytesIO()
@@ -387,19 +387,28 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """A checkpoint of this version or of version 1, which kept each head of
+    task.layer{l}.{W,a,w} under task.layer{l}.head{k}.{W,a,w} (w of shape
+    (1,)). A missing array is a KeyError, an unexpected one a ValueError."""
     with np.load(Path(path), allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = typed_config(TrainConfig, meta["config"])
-        d = data["mask.proj_w"].shape[1]
-        c = data["task.out_w"].shape[0]
-        task = init_tasknet(d, c, cfg.tasknet, np.random.default_rng(0))
-        maskp = init_masknet(d, cfg.mask_d_prime, cfg.mask_hidden,
-                             np.random.default_rng(0))
-        for name, arr in task.named():
-            arr[...] = data[f"task.{name}"]
-        for name, arr in maskp.named():
-            arr[...] = data[f"mask.{name}"]
-    return TrainedModel(task=task, mask=maskp, cfg=cfg,
-                        final_lambda=meta["final_lambda"])
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays.pop("meta")).decode())
+    if meta["version"] not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    cfg = typed_config(TrainConfig, meta["config"])
+    d, c = arrays["mask.proj_w"].shape[1], arrays["task.out_w"].shape[0]
+    model = TrainedModel(
+        init_tasknet(d, c, cfg.tasknet, np.random.default_rng(0)),
+        init_masknet(d, cfg.mask_d_prime, cfg.mask_hidden,
+                     np.random.default_rng(0)), cfg, meta["final_lambda"])
+    heads = range(cfg.tasknet.heads) if meta["version"] == 1 else ()
+    for key, arr in _arrays(model).items():
+        if heads and key.startswith("task.layer"):      # e.g. task.layer0.W
+            join = np.concatenate if key.endswith(".w") else np.stack
+            arr[...] = join([arrays.pop(f"{key[:-2]}.head{k}{key[-2:]}")
+                             for k in heads])
+        else:
+            arr[...] = arrays.pop(key)
+    if arrays:
+        raise ValueError(f"unexpected arrays {sorted(arrays)}")
+    return model

@@ -114,8 +114,8 @@ def test_criterion_6_mechanism_invariants():
     cfg = TaskNetConfig(layers=1, heads=1, head_dim=4,
                         attn_dropout=0.0, layer_dropout=0.0)
     task = init_tasknet(3, 2, cfg, np.random.default_rng(0))
-    hp = task.layers[0][0]
-    hp.a[:4] = 0.0      # logits no longer read the source embedding
+    # logits no longer read the source embedding
+    task.layers[0].a[0, :4] = 0.0
     X = rng.normal(size=(2, 3))
     edges = np.vstack([make_edges([(0, 1)], EdgeOrigin.ORIGINAL),
                        make_edges([(0, 0), (1, 1)], EdgeOrigin.SELF_LOOP)])
@@ -130,9 +130,8 @@ def test_criterion_6_mechanism_invariants():
     cfg2 = TaskNetConfig(layers=2, heads=3, head_dim=4,
                          attn_dropout=0.0, layer_dropout=0.0)
     p2 = init_tasknet(5, 3, cfg2, np.random.default_rng(4))
-    for heads in p2.layers:
-        for h in heads:
-            h.w[...] = 0.0
+    for lp in p2.layers:
+        lp.w[...] = 0.0
     X5 = rng.normal(size=(6, 5))
     pairs = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 0)]
     edges6 = np.vstack([make_edges(pairs, EdgeOrigin.ORIGINAL),

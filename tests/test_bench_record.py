@@ -78,37 +78,49 @@ def test_reference_time_is_read_from_the_printed_figures():
     assert not bench_record.REFERENCE_LINE.match("  run_s   0.2 s")
 
 
-def fake_bench(monkeypatch, tmp_path, other):
-    """Fakes the benchmark's runs (REV's at `other` slower than the working
-    tree's) and BENCHMARK.json; returns the list the runs are logged to."""
-    calls = []
+def fake_bench(monkeypatch, tmp_path):
+    """Fakes the benchmark's runs, BENCHMARK.json and, for --against, the
+    temporary directory (`tmp_path / "tmp"`) and the extraction of REV into
+    it; REV's runs are slower than the working tree's and the control
+    copy's slower still. Returns the lists the runs and extractions are
+    logged to."""
+    calls, extracted = [], []
+    run_s = {"rev": 1.0, "control": 1.1, "tree": 0.8}
 
     def fake_run(root, workload, seed, trace, seconds):
-        side = "rev" if root == other else "tree"
+        side = {"against": "rev", "control": "control"}.get(root.name, "tree")
         calls.append((seed, trace, side, workload, seconds))
         if trace:
             return {"attempted": 1, "failed": 0, "envs": [{"numpy": "x"}],
                     "checks": [],
                     "metrics": {"a.calls": {"value": 2.0, "unit": "count"}}}
-        return timed(1.0 if side == "rev" else 0.8,
-                     0.03 if side == "rev" else 0.032)
+        return timed(run_s[side], 0.032 if side == "tree" else 0.03)
+
+    def fake_extract(rev, dest):
+        extracted.append((rev, dest))
+        dest.mkdir(parents=True)
+        return "c0ffee"
 
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_bench", fake_run)
+    monkeypatch.setattr(bench_record, "extract", fake_extract)
+    monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
+                        lambda: contextlib.nullcontext(str(tmp_path / "tmp")))
     monkeypatch.setattr(bench_record, "benchmark", lambda: {
         "run_seconds": 2,
         "workloads": [{"name": w} for w in WORKLOADS],
         "end_to_end": [{"name": m, "better": "lower"}
                        for m in ("setup_s", "run_s", "peak_rss_mb")]})
-    return calls
+    return calls, extracted
 
 
 def test_record_runs_each_workload_at_the_benchmark_length(tmp_path,
                                                            monkeypatch):
-    calls = fake_bench(monkeypatch, tmp_path, None)
+    calls, extracted = fake_bench(monkeypatch, tmp_path)
     assert bench_record.main(["--tag", "t", "--seeds", "4", "5"]) == 0
     assert calls == [(seed, trace, "tree", w, 2) for seed in (4, 5)
                      for w in WORKLOADS for trace in (0, 1)]
+    assert extracted == []
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert "against" not in record
     assert record["seconds"] == 2
@@ -119,17 +131,16 @@ def test_record_runs_each_workload_at_the_benchmark_length(tmp_path,
 
 
 def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
-    other = tmp_path / "rev"
-    calls = fake_bench(monkeypatch, tmp_path, other)
-    monkeypatch.setattr(bench_record, "extract",
-                        lambda rev, dest: (other.mkdir(), "c0ffee")[1])
-    monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
-                        lambda: contextlib.nullcontext(str(other)))
+    calls, extracted = fake_bench(monkeypatch, tmp_path)
     assert bench_record.main(["--tag", "t", "--seeds", "4", "5",
                               "--against", "HEAD~1"]) == 0
+    # REV is extracted twice, the second time by the commit it resolved to
+    tmp = tmp_path / "tmp"
+    assert extracted == [("HEAD~1", tmp / "against"),
+                         ("c0ffee", tmp / "control")]
     untraced = [c for c in calls if c[1] == 0]
-    assert [c[2] for c in untraced[:2]] == ["rev", "tree"]        # seed 4
-    assert [c[2] for c in untraced[6:8]] == ["tree", "rev"]       # seed 5
+    assert [c[2] for c in untraced[:3]] == ["rev", "control", "tree"]
+    assert [c[2] for c in untraced[9:12]] == ["tree", "control", "rev"]
     assert {c[3] for c in untraced} == set(WORKLOADS)
     assert [c[:3] for c in calls if c[1] == 1] == \
         [(seed, 1, "tree") for seed in (4, 5) for _ in WORKLOADS]
@@ -140,6 +151,9 @@ def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
     assert "--seconds 2 --trace 0 from REV" in ab["command"]
     run_s = ab["workloads"]["dg_2x2"]["metrics"]["run_s"]
     assert (run_s["wins"], run_s["ratio_of_medians"]) == (2, 0.8)
+    # the control: the second copy of REV against REV at the same seeds
+    assert run_s["control"] == {"wins": 0, "ratio_of_medians": 1.1,
+                                "iqr": 0.0}
     assert ab["workloads"]["citation_eval"]["reference_s"]["change"][
         "median"] == 0.032
     # the end-to-end summary is the working tree's side of the pairs
@@ -147,22 +161,33 @@ def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
     assert e2e["run_s"]["values"] == [0.8, 0.8]
     assert record["workloads"]["dg_2x2"]["per_layer"]["a.calls"][
         "median"] == 2.0
-    assert record["attempted"] == 2 * 3 * (2 * 3 + 1)
+    assert record["attempted"] == 2 * 3 * (3 * 3 + 1)
+
+
+def test_control_figures_come_from_the_copy_against_rev_pairs():
+    pairs = [(timed(a, 0.03), timed(b, 0.03))
+             for a, b in ((1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 1.1))]
+    control = [timed(v, 0.03) for v in (0.9, 1.3, 0.9, 1.2)]
+    out = bench_record.compare(pairs, {"run_s": "lower"}, control)
+    figure = out["metrics"]["run_s"]["control"]
+    assert figure["wins"] == 1                    # the tie counts for neither
+    assert figure["ratio_of_medians"] == 1.0       # both medians 1.05
+    assert figure["iqr"] == bench_record.spread([0.9, 1.3, 0.9, 1.2])["iqr"]
+    assert "control" not in bench_record.compare(pairs, {"run_s": "lower"})[
+        "metrics"]["run_s"]
 
 
 def test_record_names_each_run_that_failed(tmp_path, monkeypatch):
-    other = tmp_path / "rev"
-    fake_bench(monkeypatch, tmp_path, other)
-    monkeypatch.setattr(bench_record, "extract",
-                        lambda rev, dest: (other.mkdir(), "c0ffee")[1])
-    monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
-                        lambda: contextlib.nullcontext(str(other)))
+    fake_bench(monkeypatch, tmp_path)
     passing = bench_record.run_bench
 
     def failing(root, workload, seed, trace, seconds):
         run = passing(root, workload, seed, trace, seconds)
-        if (root, workload, seed, trace) == (other, "duality_grid", 5, 0):
+        if (root.name, workload, seed, trace) == ("against", "duality_grid",
+                                                  5, 0):
             run.update(failed=2, checks=["weak_duality", "raised:ValueError"])
+        if (root.name, workload, seed) == ("control", "citation_eval", 4):
+            run.update(failed=1, checks=["exit_code=1"])
         if (workload, seed, trace) == ("dg_2x2", 4, 1):
             run.update(failed=1, checks=["coverage"])
         return run
@@ -171,10 +196,12 @@ def test_record_names_each_run_that_failed(tmp_path, monkeypatch):
     assert bench_record.main(["--tag", "t", "--seeds", "4", "5",
                               "--against", "HEAD~1"]) == 1
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert record["failed"] == 3
+    assert record["failed"] == 4
     assert record["failures"] == [
         {"side": "change", "workload": "dg_2x2", "seed": 4, "trace": 1,
          "attempted": 1, "failed": 1, "checks": ["coverage"]},
+        {"side": "control", "workload": "citation_eval", "seed": 4,
+         "trace": 0, "attempted": 3, "failed": 1, "checks": ["exit_code=1"]},
         {"side": "against", "workload": "duality_grid", "seed": 5, "trace": 0,
          "attempted": 3, "failed": 2,
          "checks": ["weak_duality", "raised:ValueError"]}]

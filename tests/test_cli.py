@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -762,6 +763,98 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys,
     assert rc == 1
     assert err == ("error: out of memory: Unable to allocate 7.45 GiB for "
                    "an array\n")
+
+
+# -- checkpoint layouts: version 2 stacks each layer's heads; version 1 ------
+# -- kept one key per head and still loads ------------------------------------
+
+def npz_arrays(path):
+    with np.load(path) as data:
+        return dict(data)
+
+
+def save_npz(path, arrays):
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def per_head_arrays(checkpoint):
+    """The arrays of a version-2 checkpoint in version 1's layout: each
+    layer's W, a and w under task.layer{l}.head{k}.*, a head's w of shape
+    (1,)."""
+    arrays = npz_arrays(checkpoint)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta["version"] == 2
+    meta["version"] = 1
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for key in [k for k in arrays if re.fullmatch(r"task\.layer\d+\..", k)]:
+        stacked, (_, layer, leaf) = arrays.pop(key), key.split(".")
+        for k, part in enumerate(stacked[:, None] if leaf == "w" else stacked):
+            arrays[f"task.{layer}.head{k}.{leaf}"] = part
+    return arrays
+
+
+def test_version_1_checkpoint_evaluates_to_the_same_bytes(
+        domains, trained_checkpoint, tmp_path):
+    from maskdg.training import load_checkpoint
+
+    path, metrics, models = tmp_path / "model.ckpt", [], []
+    for name, arrays in (("v1", per_head_arrays(trained_checkpoint)),
+                         ("v2", npz_arrays(trained_checkpoint))):
+        save_npz(path, arrays)      # one path: the manifests match
+        models.append(load_checkpoint(path))
+        assert main(["eval", "--checkpoint", str(path), "--graph",
+                     str(domains[2]), "--out", str(tmp_path / name)]) == 0
+        metrics.append((tmp_path / name / "metrics.json").read_bytes())
+    assert metrics[0] == metrics[1]
+    for (n1, a), (n2, b) in zip(*(m.task.named() for m in models)):
+        assert n1 == n2
+        np.testing.assert_array_equal(a, b)
+
+
+def drop(key):
+    return lambda arrays: arrays.pop(key)
+
+
+def add(key, like):
+    return lambda arrays: arrays.setdefault(key, arrays[like])
+
+
+@pytest.mark.parametrize("version,edit,names", [
+    (1, drop("task.layer1.head1.a"), "task.layer1.head1.a"),
+    (1, add("task.layer0.head2.W", "task.layer0.head0.W"), "head2.W"),
+    (1, add("task.layer0.W", "task.layer0.head0.W"), "task.layer0.W"),
+    (2, add("task.layer0.head0.W", "task.layer0.W"), "task.layer0.head0.W"),
+    (2, drop("task.layer1.w"), "task.layer1.w"),
+], ids=["v1-head-missing", "v1-extra-head", "v1-mixed-with-v2-key",
+        "v2-mixed-with-head-key", "v2-tensor-missing"])
+def test_incomplete_or_mixed_head_keys_exit_1(domains, trained_checkpoint,
+                                              tmp_path, capsys, version,
+                                              edit, names):
+    arrays = (per_head_arrays(trained_checkpoint) if version == 1
+              else npz_arrays(trained_checkpoint))
+    edit(arrays)
+    save_npz(tmp_path / "bad.ckpt", arrays)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "bad.ckpt"), "--graph",
+               str(domains[2]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "not a readable checkpoint" in err
+    assert names in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_of_a_non_finite_scorer_exits_2_naming_it(
+        domains, trained_checkpoint, tmp_path, capsys):
+    arrays = npz_arrays(trained_checkpoint)
+    arrays["mask.mlp_w1"][0, 0] = np.nan
+    save_npz(tmp_path / "nan.ckpt", arrays)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "nan.ckpt"), "--graph",
+               str(domains[2]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "numeric failure: non-finite edge score in the mask " \
+        "scorer\n", err
 
 
 # -- config values of the wrong type, in a config file or a checkpoint -------

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from maskdg.gradients import finite_diff_check, grad_tasknet
 from maskdg.graph import EdgeOrigin, make_edges
 from maskdg.tasknet import (
     EdgeSegments,
-    HeadParams,
+    LayerParams,
     NonFiniteError,
     TaskNetConfig,
     TaskNetParams,
@@ -58,10 +59,11 @@ def reference_gat_forward(params: TaskNetParams, X, edges, cfg: TaskNetConfig):
         return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
     h = X
-    for l, heads in enumerate(params.layers):
+    for l, lp in enumerate(params.layers):
         final = l == len(params.layers) - 1
         outs = []
-        for hp in heads:
+        for k in range(lp.W.shape[0]):
+            hp = head(lp, k)
             z = h @ hp.W.T
             agg = np.zeros((n, d_h))
             for u in range(n):
@@ -83,6 +85,47 @@ def small_params(d, c, cfg, seed=0):
     return init_tasknet(d, c, cfg, np.random.default_rng(seed))
 
 
+def head(lp, k):
+    """Head k of a stacked layer as views: W (d_h, D), a (2*d_h + 1,) and
+    w (1,)."""
+    return SimpleNamespace(W=lp.W[k], a=lp.a[k], w=lp.w[k:k + 1])
+
+
+def layer_params(heads):
+    """A layer of tracked leaves stacked from per-head (W, a, w) arrays."""
+    W, a, w = zip(*heads)
+    return LayerParams(ad.param(np.stack(W)), ad.param(np.stack(a)),
+                       ad.param(np.concatenate(w)))
+
+
+def test_init_draws_each_head_s_W_then_a_into_stacked_layers():
+    # The rng stream of a per-head init: each head draws its W, then its a,
+    # layer by layer, then the output head; the mask weights start at 1.
+    cfg = TaskNetConfig(layers=3, heads=3, head_dim=2)
+    d, c = 5, 4
+    ours = np.random.default_rng(8)
+    p = init_tasknet(d, c, cfg, ours)
+    ref = np.random.default_rng(8)
+    d_in = d
+    for lp in p.layers:
+        assert (lp.W.shape, lp.a.shape, lp.w.shape) == \
+            ((3, 2, d_in), (3, 5), (3,))
+        for k in range(cfg.heads):
+            wb, ab = 1.0 / np.sqrt(d_in), 1.0 / np.sqrt(2 * cfg.head_dim + 1)
+            np.testing.assert_array_equal(
+                lp.W[k], ref.uniform(-wb, wb, size=(cfg.head_dim, d_in)))
+            np.testing.assert_array_equal(
+                lp.a[k], ref.uniform(-ab, ab, size=(2 * cfg.head_dim + 1,)))
+        np.testing.assert_array_equal(lp.w, np.ones(cfg.heads))
+        d_in = cfg.heads * cfg.head_dim
+    ob = 1.0 / np.sqrt(cfg.head_dim)
+    np.testing.assert_array_equal(
+        p.out_w, ref.uniform(-ob, ob, size=(c, cfg.head_dim)))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert [name for name, _ in p.named()] == [
+        f"layer{l}.{leaf}" for l in range(3) for leaf in "Waw"] + ["out_w"]
+
+
 def test_single_node_self_loop_passes_features_through():
     cfg = TaskNetConfig(layers=1, heads=1, head_dim=3,
                         attn_dropout=0.0, layer_dropout=0.0)
@@ -90,7 +133,7 @@ def test_single_node_self_loop_passes_features_through():
     X = rng.normal(size=(1, 2))
     edges = make_edges([(0, 0)], EdgeOrigin.SELF_LOOP)
     logits = tasknet_forward(p, X, edges, np.ones(1), cfg)
-    z = p.layers[0][0].W @ X[0]
+    z = p.layers[0].W[0] @ X[0]
     expected = p.out_w @ np.where(z > 0, z, np.expm1(np.minimum(z, 0)))
     np.testing.assert_allclose(logits[0], expected, rtol=1e-12)
 
@@ -102,7 +145,7 @@ def test_zero_mask_kills_message_exactly():
     cfg = TaskNetConfig(layers=1, heads=1, head_dim=4,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(3, 2, cfg, seed=1)
-    hp = p.layers[0][0]
+    hp = head(p.layers[0], 0)
     X = rng.normal(size=(2, 3))
     edges = graph_with_loops([(0, 1)], 2)          # (0,1), (0,0), (1,1)
     mask = np.array([0.0, 1.0, 1.0])
@@ -147,9 +190,8 @@ def test_all_ones_mask_with_zero_mask_weight_matches_reference_gat():
     cfg = TaskNetConfig(layers=2, heads=3, head_dim=4,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(5, 3, cfg, seed=2)
-    for heads in p.layers:
-        for hp in heads:
-            hp.w[...] = 0.0     # silence the mask channel
+    for lp in p.layers:
+        lp.w[...] = 0.0     # silence the mask channel
     X = rng.normal(size=(6, 5))
     edges = graph_with_loops([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 0)], 6)
     ours = tasknet_forward(p, X, edges, np.ones(edges.shape[0]), cfg)
@@ -549,8 +591,8 @@ def test_nonfinite_value_feeding_only_unlabeled_nodes_is_raised():
     cfg = TaskNetConfig(layers=2, heads=4, head_dim=2,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(3, 2, cfg, seed=5)
-    for k, hp in enumerate(p.layers[0]):
-        hp.a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
+    for k, a in enumerate(p.layers[0].a):
+        a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
     edges = graph_with_loops([(0, 1), (1, 0), (2, 3)], 4)
     X = np.random.default_rng(2).normal(size=(4, 3))
     labels = np.array([0, 1, 0, -1])
@@ -625,12 +667,11 @@ def test_edge_gathers_are_contiguous(monkeypatch):
     monkeypatch.setattr(seg, "take", spy)
     r = np.random.default_rng(3)
     H, d_h = 3, 2
-    heads = [HeadParams(ad.param(r.normal(size=(d_h, 4))),
-                        ad.param(r.normal(size=2 * d_h + 1)),
-                        ad.param(np.ones(1))) for _ in range(H)]
+    lp = layer_params([(r.normal(size=(d_h, 4)), r.normal(size=2 * d_h + 1),
+                        np.ones(1)) for _ in range(H)])
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=seg.src.size))
-    gat_layer(x, heads, mask, seg).backward()
+    gat_layer(x, lp, mask, seg).backward()
     assert (H, d_h, seg.src.size) in [g.shape for g in gathered]   # z_src
     assert all(g.flags.c_contiguous for g in gathered)
 
@@ -657,10 +698,9 @@ def test_gat_layer_vjp_matches_finite_differences(final, dropout,
                               (0, 4), (5, 2), (2, 3)], n)
     E = edges.shape[0]
     arrays = {"x": r.normal(size=(n, d)), "mask": r.uniform(size=E)}
-    for k in range(H):
-        arrays[f"W{k}"] = r.normal(size=(d_h, d))
-        arrays[f"a{k}"] = r.normal(size=2 * d_h + 1)
-        arrays[f"w{k}"] = r.normal(size=1)
+    W, a, w = zip(*[(r.normal(size=(d_h, d)), r.normal(size=2 * d_h + 1),
+                     r.normal(size=1)) for _ in range(H)])
+    arrays.update(W=np.stack(W), a=np.stack(a), w=np.concatenate(w))
     if final:
         arrays["out_w"] = r.normal(size=(C, d_h))
     keep = ad.dropout_keep(np.random.default_rng(3), (H, E), 0.4) \
@@ -672,9 +712,8 @@ def test_gat_layer_vjp_matches_finite_differences(final, dropout,
 
     def layer(wrap):
         v = {name: wrap(arr) for name, arr in arrays.items()}
-        heads = [HeadParams(v[f"W{k}"], v[f"a{k}"], v[f"w{k}"])
-                 for k in range(H)]
-        return gat_layer(v["x"], heads, v["mask"], seg, keep, out_keep,
+        lp = LayerParams(v["W"], v["a"], v["w"])
+        return gat_layer(v["x"], lp, v["mask"], seg, keep, out_keep,
                          v.get("out_w")), v
 
     # seeding backward with `weight` differentiates sum(weight * output)
@@ -728,14 +767,14 @@ def test_dropout_draws_match_per_head_sequential_draws():
     logits = tasknet_forward_var(pv, X, edges, mask, cfg, ours).data
     ref = np.random.default_rng(99)
     h, seg = ad.constant(X), EdgeSegments(edges, n)
-    for layer, heads in enumerate(pv.layers):
+    for layer, lp in enumerate(pv.layers):
         keep = (np.stack([ref.random(E) for _ in range(cfg.heads)])
                 >= 0.5) / 0.5
         if layer < cfg.layers - 1:
             out_keep = (ref.random((n, cfg.heads * cfg.head_dim)) >= 0.5) / 0.5
-            h = gat_layer(h, heads, mask, seg, keep, out_keep)
+            h = gat_layer(h, lp, mask, seg, keep, out_keep)
         else:
-            h = gat_layer(h, heads, mask, seg, keep, out_w=pv.out_w)
+            h = gat_layer(h, lp, mask, seg, keep, out_w=pv.out_w)
     assert ours.bit_generator.state == ref.bit_generator.state
     np.testing.assert_array_equal(logits, h.data)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
@@ -804,17 +843,16 @@ def test_backward_twice_gives_the_same_bits_and_leaves_the_forward_intact():
     edges, n = scatter_graph()
     r = np.random.default_rng(13)
     H, d_h = 3, 2
-    heads = [HeadParams(ad.param(r.normal(size=(d_h, 4))),
-                        ad.param(r.normal(size=2 * d_h + 1)),
-                        ad.param(r.normal(size=1))) for _ in range(H)]
+    lp = layer_params([(r.normal(size=(d_h, 4)), r.normal(size=2 * d_h + 1),
+                        r.normal(size=1)) for _ in range(H)])
     x = ad.param(r.normal(size=(n, 4)))
     mask = ad.param(r.uniform(size=edges.shape[0]))
     keep = ad.dropout_keep(np.random.default_rng(2), (H, edges.shape[0]), 0.3)
-    out = gat_layer(x, heads, mask, EdgeSegments(edges, n), keep)
+    out = gat_layer(x, lp, mask, EdgeSegments(edges, n), keep)
     cells = dict(zip(out._vjp.__code__.co_freevars,
                      (c.cell_contents for c in out._vjp.__closure__)))
     forward = {k: cells[k].copy() for k in ("alpha", "coef", "z")}
-    leaves = [x, mask] + [v for hp in heads for v in (hp.W, hp.a, hp.w)]
+    leaves = [x, mask, lp.W, lp.a, lp.w]
     seed = r.normal(size=out.data.shape)
     sweeps = []
     for _ in range(2):
@@ -833,7 +871,7 @@ def test_nonfinite_weight_is_reported_at_its_layer_and_head(bad):
     cfg = TaskNetConfig(layers=3, heads=4, head_dim=2,
                         attn_dropout=0.0, layer_dropout=0.0)
     p = small_params(3, 2, cfg, seed=5)
-    p.layers[1][2].W[0, 1] = bad
+    p.layers[1].W[2, 0, 1] = bad
     X = np.random.default_rng(0).normal(size=(4, 3))
     edges = graph_with_loops([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
@@ -913,8 +951,8 @@ def test_nonfinite_head_in_a_later_run_is_named_as_in_one_pass(monkeypatch):
                         attn_dropout=0.0, layer_dropout=0.0)
     edges, n = hub_graph()
     p = small_params(5, 3, cfg, seed=3)
-    for k, hp in enumerate(p.layers[0]):
-        hp.a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
+    for k, a in enumerate(p.layers[0].a):
+        a[-1] = {1: 1e10, 3: -1e10}.get(k, 0.0)
     mask = np.ones(edges.shape[0])
     mask[np.flatnonzero(edges[:, 1] == 0)[0]] = -1e300
     mask[np.flatnonzero(edges[:, 1] == n - 1)[0]] = 1e300

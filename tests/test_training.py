@@ -132,6 +132,24 @@ def test_adam_rejects_parameters_outside_their_buffer():
         adam_step(AdamState(), p, {"x": np.ones(1)}, lr=0.1)
 
 
+NAMES_2X3 = [f"layer{l}.{leaf}" for l in range(2) for leaf in "Waw"] \
+    + ["out_w"]
+
+
+@pytest.mark.parametrize("name", NAMES_2X3)
+@pytest.mark.parametrize("entry", [0, -1], ids=["first", "last"])
+def test_adam_names_the_first_tensor_its_update_made_non_finite(name, entry):
+    cfg = TaskNetConfig(layers=2, heads=3, head_dim=4)
+    task = ad.packed(init_tasknet(5, 3, cfg, np.random.default_rng(0)))
+    grads = {n: np.ones_like(arr) for n, arr in task.named()}
+    grads[name].reshape(-1)[entry] = np.nan
+    grads["out_w"][-1, -1] = np.inf            # a later tensor's, if any
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=f"^non-finite update of {re.escape(name)}$"):
+        adam_step(AdamState(), task, grads, lr=0.1)
+
+
 # -- fixtures ----------------------------------------------------------------
 
 def toy_graph(seed, n=20, d=4, c=2, domain="dom"):
@@ -308,7 +326,7 @@ def test_nonfinite_weight_aborts_naming_epoch_domain_layer_and_head(
 
     def poisoned_init(*args, **kwargs):
         p = real_init(*args, **kwargs)
-        p.layers[1][2].W[0, 0] = np.nan
+        p.layers[1].W[2, 0, 0] = np.nan
         return p
 
     monkeypatch.setattr(training, "init_tasknet", poisoned_init)
@@ -321,6 +339,26 @@ def test_nonfinite_weight_aborts_naming_epoch_domain_layer_and_head(
     assert isinstance(cause, NonFiniteError)
     assert (cause.layer, cause.head) == (1, 2)
     assert "layer 1, head 2" in str(info.value)
+
+
+def test_nonfinite_scorer_weight_aborts_naming_the_scorer(monkeypatch):
+    # The NaN scores of a poisoned scorer used to surface in the classifier
+    # as "non-finite activation at layer 0, head 0".
+    from maskdg import training
+    from maskdg.tasknet import NonFiniteError
+
+    real_init = training.init_masknet
+
+    def poisoned_init(*args, **kwargs):
+        p = real_init(*args, **kwargs)
+        p.mlp_w1[0, 0] = np.nan
+        return p
+
+    monkeypatch.setattr(training, "init_masknet", poisoned_init)
+    with pytest.raises(FloatingPointError, match="epoch 0, domain 'a'") as info:
+        train(two_domain_dataset(), small_cfg())
+    assert "non-finite edge score in the mask scorer" in str(info.value)
+    assert not isinstance(info.value.__cause__, NonFiniteError)
 
 
 def _step_fixture():

@@ -20,12 +20,17 @@ checks it printed as `FAIL <workload> iteration <n>: <check>`.
 `git archive` into a temporary directory, against the working tree: each
 untraced run becomes a pair, REV and working tree each with its own
 `perfbench/run.py`, the side that runs first alternating from seed to
-seed. The record gains an "against" entry: per workload and end-to-end
-metric, the median and quartiles of each side, the pairs the working tree
-wins (ties count for neither) and the ratio of its median to REV's, and
-each side's median reference kernel time, so that a claimed gain can be
-told from a change of the time scale. Pick seeds not used while the
-change was built.
+seed. It also runs an A/A control: REV extracted a second time, into
+another directory, run between REV and the working tree, so that each
+seed gives a REV-against-REV pair at the same seed and run length. The
+record gains an "against" entry: per workload and end-to-end metric, the
+median and quartiles of each side, the pairs the working tree wins (ties
+count for neither) and the ratio of its median to REV's; next to them,
+under "control", the second copy's wins against REV, its ratio of medians
+and its IQR, so that a claimed gain can be told from the spread two
+copies of one program show; and each side's median reference kernel
+time, so that it can be told from a change of the time scale. Pick seeds
+not used while the change was built.
 
 Exit codes: 0 when every run passed its checks, 1 when a run failed one,
 2 when a run printed no result, the runs disagree on the environment or
@@ -44,7 +49,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LINE = re.compile(r"^\s+reference_s\s+(\S+)")
@@ -111,25 +116,38 @@ def summarise(plain: Dict[str, List[dict]],
     return out
 
 
-def compare(pairs: List[tuple], better: Dict[str, str]) -> dict:
+def compare(pairs: List[tuple], better: Dict[str, str],
+            control: Optional[List[dict]] = None) -> dict:
     """The A/B of one workload from its (REV run, working-tree run) pairs:
     per end-to-end metric both sides' spreads, the working tree's wins out
-    of the pairs and the ratio of its median to REV's; and each side's
-    reference kernel times."""
+    of the pairs and the ratio of its median to REV's, and, given the runs
+    of a second copy of REV at the same seeds, that copy's wins, ratio and
+    IQR against REV's runs under "control"; and each side's reference
+    kernel times."""
     out = {"pairs": len(pairs), "metrics": {}}
     for metric, direction in better.items():
         sign = 1 if direction == "lower" else -1
         base = [a["metrics"][metric]["value"] for a, _ in pairs]
-        new = [b["metrics"][metric]["value"] for _, b in pairs]
+
+        def versus_base(runs):
+            values = [run["metrics"][metric]["value"] for run in runs]
+            return values, {
+                "wins": sum(sign * (y - x) < 0 for x, y in zip(base, values)),
+                "ratio_of_medians": (statistics.median(values)
+                                     / statistics.median(base))}
+
+        new, figures = versus_base(b for _, b in pairs)
         out["metrics"][metric] = {
             "unit": pairs[0][0]["metrics"][metric]["unit"],
             "better": direction,
             "against": spread(base),
             "change": spread(new),
-            "wins": sum(sign * (y - x) < 0 for x, y in zip(base, new)),
-            "ratio_of_medians": (statistics.median(new)
-                                 / statistics.median(base)),
+            **figures,
         }
+        if control is not None:
+            copy, figures = versus_base(control)
+            out["metrics"][metric]["control"] = {
+                **figures, "iqr": spread(copy)["iqr"]}
     out["reference_s"] = {
         side: spread([run["reference_s"][0] for run in runs])
         for side, runs in zip(("against", "change"), zip(*pairs))}
@@ -183,16 +201,17 @@ def main(argv=None) -> int:
     spec = benchmark()
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    plain, traced, others = ({name: [] for name in names} for _ in range(3))
+    plain, traced, others, controls = ({name: [] for name in names}
+                                       for _ in range(4))
     failures = []
 
-    def bench(root: Path, name: str, seed: int, trace: int) -> dict:
+    def bench(side: str, root: Path, name: str, seed: int,
+              trace: int) -> dict:
         run = run_bench(root, name, seed, trace, seconds)
         checks = run.pop("checks")
         if run["failed"]:
             failures.append({
-                "side": "change" if root == ROOT else "against",
-                "workload": name, "seed": seed, "trace": trace,
+                "side": side, "workload": name, "seed": seed, "trace": trace,
                 "attempted": run["attempted"], "failed": run["failed"],
                 "checks": checks})
         return run
@@ -200,22 +219,23 @@ def main(argv=None) -> int:
     commit = None
     try:
         with tempfile.TemporaryDirectory() as tmp:
+            sides = [("change", ROOT, plain)]
             if args.against is not None:
-                commit = extract(args.against, Path(tmp))
-            sides = [ROOT] if commit is None else [Path(tmp), ROOT]
+                commit = extract(args.against, Path(tmp) / "against")
+                extract(commit, Path(tmp) / "control")
+                sides = [("against", Path(tmp) / "against", others),
+                         ("control", Path(tmp) / "control", controls),
+                         *sides]
             for i, seed in enumerate(args.seeds):
                 for name in names:
-                    for root in sides if i % 2 == 0 else sides[::-1]:
-                        run = bench(root, name, seed, 0)
-                        (plain if root == ROOT else others)[name].append(run)
-                    traced[name].append(bench(ROOT, name, seed, 1))
-                    line = f"seed {seed} {name}: run_s " + ", ".join(
-                        f"{side[name][-1]['metrics']['run_s']['value']:.4g}"
-                        f" {label}" for side, label in
-                        ((others, "against"), (plain, "change"))
-                        if side[name])
-                    print(line, flush=True)
-        runs = [run for side in (plain, traced, others)
+                    for side, root, into in (sides if i % 2 == 0
+                                             else sides[::-1]):
+                        into[name].append(bench(side, root, name, seed, 0))
+                    traced[name].append(bench("change", ROOT, name, seed, 1))
+                    print(f"seed {seed} {name}: run_s " + ", ".join(
+                        f"{into[name][-1]['metrics']['run_s']['value']:.4g}"
+                        f" {side}" for side, _, into in sides), flush=True)
+        runs = [run for side in (plain, traced, others, controls)
                 for workload in side.values() for run in workload]
         envs = [env for run in runs for env in run.pop("envs")]
         if any(env != envs[0] for env in envs):
@@ -240,11 +260,14 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         record["against"] = {
             "rev": args.against, "commit": commit,
-            "command": f"{each} --trace 0 from REV's files and from the "
-                       f"working tree, for each seed and workload, REV "
-                       f"first for the 1st, 3rd, ... seed",
+            "command": f"{each} --trace 0 from REV's files, from a second "
+                       f"copy of them (the control) and from the working "
+                       f"tree, for each seed and workload, in that order "
+                       f"for the 1st, 3rd, ... seed and reversed for the "
+                       f"others",
             "workloads": {name: compare(list(zip(others[name], plain[name])),
-                                        better) for name in names}}
+                                        better, controls[name])
+                          for name in names}}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
