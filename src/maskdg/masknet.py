@@ -1,10 +1,12 @@
 """Adversarial edge scorer.
 
 Every non-self-loop edge (u, v) gets a score in (0, 1): both endpoint
-features are projected and ReLU'd, concatenated in edge order, and pushed
-through a two-layer MLP with a sigmoid head. Self-loops are never scored;
-they ride along with a fixed value of 1 so a node can always hear itself.
-The whole scorer is one tape op with a hand-written VJP.
+features are projected and ReLU'd, and the pair [z_u | z_v] goes through a
+two-layer MLP with a sigmoid head, whose first layer runs as its source and
+destination halves, once per node (GAT's split of a^T [W h_i | W h_j]).
+Self-loops are never scored; they ride along with a fixed value of 1 so a
+node can always hear itself. The whole scorer is one tape op with a
+hand-written VJP.
 """
 
 from __future__ import annotations
@@ -78,11 +80,13 @@ def init_masknet(d: int, d_prime: int, hidden: int,
 def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     """The whole scorer as one tape op with a hand-written VJP: a full-length
     mask holding the score of each non-self-loop edge and 1 at each
-    self-loop, and the boolean vector of the scored entries. Without a VJP
-    to record, the edges run in blocks of `rows` (the last also takes the
-    remainder) whose (rows, 2d') pairs fit in tasknet._CHUNK_BYTES. `rows`
-    is a multiple of 64 and no block is shorter, so each row meets the same
-    BLAS kernels as in one pass: the scores match it to the bit.
+    self-loop, and the boolean vector of the scored entries. An edge's
+    hidden pre-activation is u[src] + v[dst]: no (E, 2d') array is built.
+    Without a VJP to record, the edges run in blocks of `rows` (the last
+    also takes the remainder) whose (rows, h) terms fit in
+    tasknet._CHUNK_BYTES. `rows` is a multiple of 64 and no block is
+    shorter, so each row meets the same BLAS kernels as in one pass: the
+    scores match it to the bit.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src, dst = edges[:, 0], edges[:, 1]
@@ -100,13 +104,15 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     s = np.empty(src.size)
     pre0 = X @ W0.T + b0
     z = pre0 * (pre0 > 0)
-    rows = max(1, tasknet._CHUNK_BYTES // (8 * 2 * z.shape[1]) // 64) * 64
+    W_src, W_dst = np.split(W1, 2, axis=1)
+    u, v = z @ W_src.T + b1, z @ W_dst.T
+    rows = max(1, tasknet._CHUNK_BYTES // (8 * W1.shape[0]) // 64) * 64
     blocks = 1 if taped else max(1, src.size // rows)
     cuts = [i * rows for i in range(blocks)] + [src.size]
     for lo, hi in zip(cuts, cuts[1:]):   # taped: one block, read by the VJP
-        pair = np.concatenate([z[src[lo:hi]], z[dst[lo:hi]]], axis=1)
-        pre1 = pair @ W1.T + b1
-        h = pre1 * (pre1 > 0)
+        h = np.take(u, src[lo:hi], axis=0)
+        h += np.take(v, dst[lo:hi], axis=0)
+        h *= h > 0                       # ReLU in place: h > 0 marks pre1 > 0
         logit = (h @ W2.T + b2).reshape(-1)
         t = np.exp(-np.abs(logit))                   # stable in both tails
         s[lo:hi] = np.where(logit >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -119,16 +125,15 @@ def _score_edges(pv: MaskNetParams, X: np.ndarray, edges: np.ndarray):
     def vjp(g):
         # Trained checkpoints depend bit for bit on this arithmetic order:
         # weight grads as (a.T @ g).T, sigmoid as g * s * (1 - s), and the
-        # two endpoint halves scattered separately, then added.
+        # two endpoint halves scattered to the nodes separately.
         g_logit = (g[scorable] * s * (1.0 - s)).reshape(-1, 1)
-        g_pre1 = (g_logit @ W2) * (pre1 > 0)
-        g_pair = g_pre1 @ W1
-        half = z.shape[1]
-        g_z = (ad.sum_rows(g_pair[:, :half], src, z.shape[0])
-               + ad.sum_rows(g_pair[:, half:], dst, z.shape[0]))
-        g_pre0 = g_z * (pre0 > 0)
+        g_pre1 = (g_logit @ W2) * (h > 0)
+        g_u = ad.sum_rows(g_pre1, src, z.shape[0])
+        g_v = ad.sum_rows(g_pre1, dst, z.shape[0])
+        g_pre0 = (g_u @ W_src + g_v @ W_dst) * (pre0 > 0)
         grads = [(X.T @ g_pre0).T, g_pre0.sum(axis=0),
-                 (pair.T @ g_pre1).T, g_pre1.sum(axis=0),
+                 np.concatenate([(z.T @ g_u).T, (z.T @ g_v).T], axis=1),
+                 g_pre1.sum(axis=0),
                  (h.T @ g_logit).T, g_logit.sum(axis=0)]
         return tuple(zip(params, grads))
 

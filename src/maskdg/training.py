@@ -389,13 +389,17 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 def load_checkpoint(path) -> TrainedModel:
     """A checkpoint of this version or of version 1, which kept each head of
     task.layer{l}.{W,a,w} under task.layer{l}.head{k}.{W,a,w} (w of shape
-    (1,)). A missing array is a KeyError, an unexpected one a ValueError."""
+    (1,)). A missing array is a KeyError; an unexpected one, or one of
+    another shape than the config implies, a ValueError."""
     with np.load(Path(path), allow_pickle=False) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays.pop("meta")).decode())
     if meta["version"] not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {meta['version']}")
     cfg = typed_config(TrainConfig, meta["config"])
+    for key in ("mask.proj_w", "task.out_w"):       # they give d and c
+        if arrays[key].ndim != 2:
+            raise ValueError(f"{key} has shape {arrays[key].shape}, not 2-D")
     d, c = arrays["mask.proj_w"].shape[1], arrays["task.out_w"].shape[0]
     model = TrainedModel(
         init_tasknet(d, c, cfg.tasknet, np.random.default_rng(0)),
@@ -405,10 +409,14 @@ def load_checkpoint(path) -> TrainedModel:
     for key, arr in _arrays(model).items():
         if heads and key.startswith("task.layer"):      # e.g. task.layer0.W
             join = np.concatenate if key.endswith(".w") else np.stack
-            arr[...] = join([arrays.pop(f"{key[:-2]}.head{k}{key[-2:]}")
-                             for k in heads])
+            stored = join([arrays.pop(f"{key[:-2]}.head{k}{key[-2:]}")
+                           for k in heads])
         else:
-            arr[...] = arrays.pop(key)
+            stored = arrays.pop(key)
+        if stored.shape != arr.shape:
+            raise ValueError(f"{key} has shape {stored.shape}, the config "
+                             f"implies {arr.shape}")
+        arr[...] = stored
     if arrays:
         raise ValueError(f"unexpected arrays {sorted(arrays)}")
     return model

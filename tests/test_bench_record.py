@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -104,6 +105,8 @@ def fake_bench(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_bench", fake_run)
     monkeypatch.setattr(bench_record, "extract", fake_extract)
+    monkeypatch.setattr(bench_record, "tree_state", lambda: {
+        "head": "beef", "diff_sha256": "0" * 64, "untracked": False})
     monkeypatch.setattr(bench_record.tempfile, "TemporaryDirectory",
                         lambda: contextlib.nullcontext(str(tmp_path / "tmp")))
     monkeypatch.setattr(bench_record, "benchmark", lambda: {
@@ -128,6 +131,8 @@ def test_record_runs_each_workload_at_the_benchmark_length(tmp_path,
     e2e = record["workloads"]["citation_eval"]["end_to_end"]
     assert e2e["run_s"]["values"] == [0.8, 0.8]
     assert record["attempted"] == 2 * 3 * (3 + 1)
+    assert record["change"] == {"head": "beef", "diff_sha256": "0" * 64,
+                                "untracked": False}
 
 
 def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
@@ -221,18 +226,26 @@ def test_run_reads_the_failed_checks_from_its_fail_lines(tmp_path):
     assert run["checks"] == ["weak_duality", "raised:ValueError"]
 
 
-def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
-    repo = tmp_path / "repo"
-    repo.mkdir()
+def git_repo(path):
+    """A repository at `path` with a.txt committed as "one\\n"; returns a
+    function that runs git in it."""
+    path.mkdir()
 
     def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
-                        *args], cwd=repo, check=True, capture_output=True)
+        return subprocess.run(["git", "-c", "user.name=t", "-c",
+                               "user.email=t@t", *args], cwd=path, check=True,
+                              capture_output=True).stdout
 
     git("init", "-q")
-    (repo / "a.txt").write_text("one\n")
+    (path / "a.txt").write_text("one\n")
     git("add", "a.txt")
     git("commit", "-q", "-m", "one")
+    return git
+
+
+def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    git_repo(repo)
     (repo / "a.txt").write_text("two\n")             # not committed
     monkeypatch.setattr(bench_record, "ROOT", repo)
     dest = tmp_path / "out"
@@ -245,6 +258,30 @@ def test_extract_writes_the_committed_files(tmp_path, monkeypatch):
     monkeypatch.delattr(bench_record.tarfile, "data_filter")
     bench_record.extract("HEAD", tmp_path / "old")
     assert (tmp_path / "old" / "a.txt").read_text() == "one\n"
+
+
+def test_tree_state_names_the_commit_the_diff_and_untracked_files(
+        tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    git = git_repo(repo)
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    head = git("rev-parse", "HEAD").decode().strip()
+    clean = bench_record.tree_state()
+    assert clean == {"head": head,
+                     "diff_sha256": hashlib.sha256(b"").hexdigest(),
+                     "untracked": False}
+    (repo / "a.txt").write_text("two\n")
+    edited = bench_record.tree_state()
+    assert edited["diff_sha256"] == hashlib.sha256(
+        git("diff", "HEAD", "--binary")).hexdigest() != clean["diff_sha256"]
+    assert not edited["untracked"]
+    (repo / "b.txt").write_text("new\n")
+    assert bench_record.tree_state() == {**edited, "untracked": True}
+    (repo / ".gitignore").write_text("b.txt\n.gitignore\n")
+    assert bench_record.tree_state() == edited      # ignored: not counted
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path / "none")
+    with pytest.raises(bench_record.RunError):
+        bench_record.tree_state()
 
 
 def test_benchmark_spec_gives_workloads_and_directions():

@@ -843,6 +843,33 @@ def test_incomplete_or_mixed_head_keys_exit_1(domains, trained_checkpoint,
     assert names in err and "Traceback" not in err
 
 
+def replace(key, value):
+    return lambda arrays: arrays.update({key: value(arrays[key])})
+
+
+@pytest.mark.parametrize("edit,message", [
+    (replace("task.layer0.w", lambda w: np.array([7.0])),
+     "task.layer0.w has shape (1,), the config implies (2,)"),
+    (replace("mask.proj_w", lambda w: w.ravel()[:5]),
+     "mask.proj_w has shape (5,), not 2-D"),
+    (replace("mask.mlp_w1", lambda w: np.hstack([w, w[:, :1]])),
+     "mask.mlp_w1 has shape (4, 17), the config implies (4, 16)"),
+], ids=["broadcastable-head-weight", "one-dim-projection",
+        "scorer-layer-one-column-wide"])
+def test_checkpoint_array_of_another_shape_exits_1(
+        domains, trained_checkpoint, tmp_path, capsys, edit, message):
+    # 2 heads, d' = 8 and h = 4 in COMMON: mlp_w1 is (h, 2d') = (4, 16).
+    arrays = npz_arrays(trained_checkpoint)
+    edit(arrays)
+    save_npz(tmp_path / "bad.ckpt", arrays)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "bad.ckpt"), "--graph",
+               str(domains[2]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "not a readable checkpoint" in err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_of_a_non_finite_scorer_exits_2_naming_it(
         domains, trained_checkpoint, tmp_path, capsys):

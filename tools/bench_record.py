@@ -32,14 +32,19 @@ copies of one program show; and each side's median reference kernel
 time, so that it can be told from a change of the time scale. Pick seeds
 not used while the change was built.
 
+Every record also names the code the working tree ran, under "change":
+its HEAD commit, the SHA-256 of `git diff HEAD --binary` and whether it
+held untracked files, all read before the first run.
+
 Exit codes: 0 when every run passed its checks, 1 when a run failed one,
-2 when a run printed no result, the runs disagree on the environment or
-REV cannot be extracted.
+2 when a run printed no result, the runs disagree on the environment, git
+cannot describe the working tree or REV cannot be extracted.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -154,17 +159,29 @@ def compare(pairs: List[tuple], better: Dict[str, str],
     return out
 
 
+def git(*args) -> bytes:
+    proc = subprocess.run(["git", "-C", str(ROOT), *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          check=False)
+    if proc.returncode != 0:
+        raise RunError(f"git {' '.join(args)}: "
+                       f"{proc.stderr.decode().strip()}")
+    return proc.stdout
+
+
+def tree_state() -> dict:
+    """The code the working tree holds: its HEAD commit, the SHA-256 of its
+    diff against HEAD and whether it has untracked files."""
+    return {
+        "head": git("rev-parse", "--verify", "HEAD").decode().strip(),
+        "diff_sha256": hashlib.sha256(
+            git("diff", "HEAD", "--binary")).hexdigest(),
+        "untracked": bool(git("ls-files", "--others", "--exclude-standard")),
+    }
+
+
 def extract(rev: str, dest: Path) -> str:
     """Write the files committed at `rev` into `dest`; returns the commit."""
-    def git(*args) -> bytes:
-        proc = subprocess.run(["git", "-C", str(ROOT), *args],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              check=False)
-        if proc.returncode != 0:
-            raise RunError(f"git {' '.join(args)}: "
-                           f"{proc.stderr.decode().strip()}")
-        return proc.stdout
-
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     # The "data" filter exists from Python 3.10.12 and 3.11.4 on; older
     # releases extract git's own archive unfiltered.
@@ -218,6 +235,7 @@ def main(argv=None) -> int:
 
     commit = None
     try:
+        change = tree_state()
         with tempfile.TemporaryDirectory() as tmp:
             sides = [("change", ROOT, plain)]
             if args.against is not None:
@@ -251,6 +269,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": seconds,
         "environment": envs[0],
+        "change": change,
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "failures": failures,
