@@ -136,8 +136,8 @@ def sum_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     out = np.zeros((num_rows,) + x.shape[1:])
     if rows.size:
         starts = (np.cumsum(counts) - counts)[rows]
-        out[rows] = np.add.reduceat(x[stable_order(index, num_rows)], starts,
-                                    axis=0)
+        out[rows] = np.add.reduceat(
+            np.take(x, stable_order(index, num_rows), axis=0), starts, axis=0)
     return out
 
 

@@ -103,40 +103,121 @@ def knn_edges(X: np.ndarray, k: int) -> np.ndarray:
                       EdgeOrigin.KNN)
 
 
-# Budget for the (rows, M, d) difference tensor of one distance block.
-_BLOCK_BYTES = 4 * 2 ** 20
+# Budget for the (rows, M) planes that one distance block works in: the
+# plane being added and the three accumulators besides the output block.
+_BLOCK_BYTES = 1 << 20
+# numpy's pairwise sum adds runs of up to this many values from 8 strided
+# accumulators and splits longer runs in two.
+_PAIRWISE_BLOCK = 128
+# The ufunc buffer size while the planes are built. numpy runs a broadcast
+# subtraction whose rows are shorter than its buffer (8,192 elements by
+# default) through copies in that buffer; at 16 it reads the operands in
+# place, which halved the time of the N = 800 distance matrix (numpy 2.4).
+# Elementwise results do not depend on it.
+_UFUNC_BUFSIZE = 16
+
+
+def _sq_plane(at, bt, k, out):
+    """(a_k - b_k)^2 of feature plane k over a block, written into out."""
+    np.subtract(at[k], bt[k], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _plane_sum(at, bt, lo, n, out, spare):
+    """out = the sum of the squared planes lo, ..., lo + n - 1, added in the
+    order in which numpy's pairwise sum adds n contiguous values: one by one
+    below 8; up to _PAIRWISE_BLOCK from 8 strided accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; beyond
+    that, two halves cut at a multiple of 8. `spare` holds free buffers of
+    out's shape: the plane and three accumulators."""
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        _plane_sum(at, bt, lo, half, out, spare)
+        out += _plane_sum(at, bt, lo + half, n - half, np.empty_like(out),
+                          spare)
+        return out
+    plane = spare[0]
+    if n < 8:
+        out.fill(0.0)
+        for k in range(lo, lo + n):
+            out += _sq_plane(at, bt, k, plane)
+        return out
+    top = lo + n - n % 8
+
+    def strided(j, acc):
+        _sq_plane(at, bt, lo + j, acc)
+        for k in range(lo + j + 8, top, 8):
+            acc += _sq_plane(at, bt, k, plane)
+        return acc
+
+    r1, r2, r3 = spare[1:4]
+    strided(0, out)
+    out += strided(1, r1)
+    strided(2, r1)
+    r1 += strided(3, r2)
+    out += r1                          # (r0 + r1) + (r2 + r3)
+    strided(4, r1)
+    r1 += strided(5, r2)
+    strided(6, r2)
+    r2 += strided(7, r3)
+    r1 += r2                           # (r4 + r5) + (r6 + r7)
+    out += r1
+    for k in range(top, lo + n):
+        out += _sq_plane(at, bt, k, plane)
+    return out
 
 
 def _pairwise_sq_distances(X: np.ndarray, Y: Optional[np.ndarray] = None
                            ) -> np.ndarray:
     """(N, M) squared Euclidean distances from the rows of X to those of Y
-    (default X), by direct differences over row blocks of X; against X
-    itself over columns j >= i, mirrored: a - b == -(b - a), same bits.
+    (default X), one feature plane at a time over row blocks whose working
+    planes fit _BLOCK_BYTES. The planes are added in the order of numpy's
+    pairwise sum over d contiguous values, so every entry has the bits of
+    the broadcast ((X[:, None] - Y[None]) ** 2).sum(axis=2). Against X
+    itself a block takes only the columns j >= i and is mirrored; against Y
+    the (M, N) transpose is built, so that the N rows of X run along a
+    block's contiguous axis. Both keep the bits: a - b == -(b - a).
 
-    Bit-identical to the one-shot (N, M, d) broadcast, whose temporary the
-    blocks bound to _BLOCK_BYTES. The Gram form |x|^2 + |y|^2 - 2x.y is
-    avoided on purpose: its rounding moves distances by ~1e-15 relative,
-    enough to change k-means assignments.
+    The Gram form |x|^2 + |y|^2 - 2x.y is avoided on purpose: its rounding
+    moves distances by ~1e-15 relative, enough to change k-means
+    assignments.
     """
-    Y = X if Y is None else Y
-    out = np.empty((X.shape[0], Y.shape[0]))
-    rows = max(1, _BLOCK_BYTES // (8 * Y.shape[0] * max(X.shape[1], 1)))
-    for i in range(0, X.shape[0], rows):
-        j = i if Y is X else 0
-        out[i:i + rows, j:] = ((X[i:i + rows, None, :] - Y[None, j:, :]) ** 2
-                               ).sum(axis=2)
-        if Y is X:
-            out[i + rows:, i:i + rows] = out[i:i + rows, i + rows:].T
-    return out
+    mirror = Y is None or Y is X
+    A, B = (X, X) if mirror else (Y, X)
+    out = np.empty((A.shape[0], B.shape[0]))
+    at = A.T[:, :, None]                              # (d, rows, 1)
+    bt = np.ascontiguousarray(B.T)[:, None, :]        # (d, 1, columns)
+    rows = max(1, _BLOCK_BYTES // (8 * 4 * B.shape[0]))
+    scratch = np.empty(4 * rows * B.shape[0])
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for i in range(0, A.shape[0], rows):
+            j = i if mirror else 0
+            block = out[i:i + rows, j:]
+            spare = [scratch[p * block.size:(p + 1) * block.size].reshape(
+                block.shape) for p in range(4)]
+            _plane_sum(at[:, i:i + rows], bt[..., j:], 0, A.shape[1], block,
+                       spare)
+            if mirror:
+                out[i + rows:, i:i + rows] = out[i:i + rows, i + rows:].T
+    finally:
+        np.setbufsize(bufsize)
+    return out if mirror else out.T
 
 
 def _median_pairwise_distance(sq: np.ndarray) -> float:
     """Median distance over the node pairs i < j of a squared-distance
-    matrix."""
+    matrix: np.median's float, from one partition of the squared values at
+    h = count // 2 (a square root keeps their order). Even counts average
+    the roots of the largest value below h and the value at h."""
     n = sq.shape[0]
     upper = sq[np.arange(n)[:, None] < np.arange(n)]
-    np.sqrt(upper, out=upper)
-    return float(np.median(upper, overwrite_input=True))
+    h = upper.size // 2
+    upper.partition(h)
+    b = np.sqrt(upper[h])
+    if upper.size % 2:
+        return float(b)
+    return float((np.sqrt(upper[:h].max()) + b) / 2)
 
 
 def _normalized_laplacian(X: np.ndarray, bandwidth) -> np.ndarray:

@@ -312,8 +312,8 @@ def save_graph(g: Graph, path) -> None:
 
 
 def _edge_row(text: str) -> tuple:
-    toks = text.split()
-    return int(toks[0]), int(toks[1]), EdgeOrigin[toks[2]]
+    src, dst, origin = text.split()        # ValueError unless three tokens
+    return int(src), int(dst), EdgeOrigin[origin]
 
 
 def load_graph(path) -> Graph:

@@ -171,10 +171,20 @@ class EdgeSegments:
         return out
 
     def softmax(self, e: np.ndarray) -> np.ndarray:
-        """Stable softmax of (..., E) edge logits over each node's in-edges."""
-        shift = np.maximum.reduceat(e, self.starts, axis=-1)
-        ex = np.exp(e - self.take(shift, self.dst))
-        return ex / self.take(self.sum(ex), self.dst)
+        """Stable softmax of (..., E) edge logits over each node's in-edges,
+        computed in e's buffer, which it returns."""
+        e -= self.take(np.maximum.reduceat(e, self.starts, axis=-1), self.dst)
+        np.exp(e, out=e)
+        e /= self.take(self.sum(e), self.dst)
+        return e
+
+
+def _into(op, a: np.ndarray, b, inplace: bool = True) -> np.ndarray:
+    """op(a, b), written into a's buffer when `inplace` and b's mask-batch
+    axis does not widen the shape."""
+    if inplace and np.broadcast_shapes(a.shape, np.shape(b)) == a.shape:
+        return op(a, b, out=a)
+    return op(a, b)
 
 
 def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
@@ -215,17 +225,23 @@ def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
     rows = np.broadcast(z[..., 0, 0, 0], mask.data[..., 0]).size  # mask rows
     runs = [seg] if taped else seg.blocks(_CHUNK_BYTES // (8 * rows * H * d_h))
     parts = []
-    for run in runs:      # taped: one run, whose edge tensors the VJP reads
+    # The edge stage runs in place; taped, it has one run, and alpha, kept
+    # and coef, which the VJP reads, stay apart.
+    for run in runs:
         m = take(mask.data, run.order)[..., None, None, :]   # (..., 1, 1, E)
         dst_s = s[..., 1:, run.first:run.first + run.num_nodes]
-        raw = take(s[..., :1, :], run.src) + take(dst_s, run.dst) + m * c
-        slope = np.where(raw > 0, 1.0, LEAKY_SLOPE)
-        alpha = run.softmax(raw * slope)                      # (..., H, 1, E)
+        raw = take(s[..., :1, :], run.src)
+        raw += take(dst_s, run.dst)
+        raw = _into(np.add, raw, m * c)
+        raw_pos = raw > 0 if taped else None
+        # The leaky ReLU as a maximum: the bits of raw * (1 or LEAKY_SLOPE).
+        alpha = run.softmax(np.maximum(raw, LEAKY_SLOPE * raw, out=raw))
         drop = 1.0 if keep is None else take(keep, run.order)[:, None, :]
-        kept = alpha * drop
-        coef = m * kept
-        z_src = take(z, run.src)                              # (..., H, d_h, E)
-        parts.append(run.sum(coef * z_src))                   # (..., H, d_h, N)
+        kept = (alpha if keep is None
+                else _into(np.multiply, alpha, drop, not taped))
+        coef = _into(np.multiply, kept, m, not taped)
+        msg = _into(np.multiply, take(z, run.src), coef)     # (..., H, d_h, E)
+        parts.append(run.sum(msg))                           # (..., H, d_h, N)
     agg = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     if not np.isfinite(agg.sum()):      # any non-finite entry shows in the sum
         bad = ~np.isfinite(agg.reshape(-1, H, d_h, agg.shape[-1])).all(
@@ -262,7 +278,8 @@ def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
         del prod
         g_alpha = g_coef * m * drop
         g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
-        g_raw = alpha * (g_alpha - g_shift) * slope
+        g_raw = alpha * (g_alpha - g_shift)
+        np.multiply(g_raw, LEAKY_SLOPE, out=g_raw, where=~raw_pos)
         if mask.requires_grad:
             g_m = np.empty(m.shape[-1])
             g_m[seg.order] = (g_coef * kept + g_raw * c).sum(axis=(0, 1))

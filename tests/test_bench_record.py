@@ -158,7 +158,9 @@ def test_against_alternates_sides_and_records_both(tmp_path, monkeypatch):
     assert (run_s["wins"], run_s["ratio_of_medians"]) == (2, 0.8)
     # the control: the second copy of REV against REV at the same seeds
     assert run_s["control"] == {"wins": 0, "ratio_of_medians": 1.1,
-                                "iqr": 0.0}
+                                "iqr": 0.0,
+                                "pair_ratios": bench_record.spread([1.1, 1.1])}
+    assert run_s["pair_ratios"]["values"] == [0.8, 0.8]
     assert ab["workloads"]["citation_eval"]["reference_s"]["change"][
         "median"] == 0.032
     # the end-to-end summary is the working tree's side of the pairs
@@ -180,6 +182,22 @@ def test_control_figures_come_from_the_copy_against_rev_pairs():
     assert figure["iqr"] == bench_record.spread([0.9, 1.3, 0.9, 1.2])["iqr"]
     assert "control" not in bench_record.compare(pairs, {"run_s": "lower"})[
         "metrics"]["run_s"]
+
+
+def test_pair_ratios_keep_the_seed_spread_out_of_the_comparison():
+    # Each seed builds another workload: REV's own IQR is wide, while the
+    # working tree is 10% faster in every pair and the control even.
+    base = (1.0, 1.4, 0.8, 1.2, 1.0)
+    pairs = [(timed(a, 0.03), timed(0.9 * a, 0.03)) for a in base]
+    control = [timed(a, 0.03) for a in base]
+    run_s = bench_record.compare(pairs, {"run_s": "lower"}, control)[
+        "metrics"]["run_s"]
+    ratios = run_s["pair_ratios"]
+    assert ratios["values"] == [0.9 * a / a for a in base]
+    assert ratios["median"] == 0.9
+    assert ratios["iqr"] < 1e-15
+    assert run_s["against"]["iqr"] == pytest.approx(0.2)
+    assert run_s["control"]["pair_ratios"] == bench_record.spread([1.0] * 5)
 
 
 def test_record_names_each_run_that_failed(tmp_path, monkeypatch):

@@ -138,6 +138,30 @@ def test_blocked_distances_match_the_broadcast(monkeypatch, rows):
         == float(np.median(dist[np.triu_indices(10, k=1)]))
 
 
+# Feature widths on each side of numpy's pairwise-sum cases: one by one
+# below 8, 8 strided accumulators and a remainder up to 128, halves beyond.
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 127, 128, 129, 300])
+def test_plane_sums_have_the_broadcast_bits_at_every_width(monkeypatch, d):
+    monkeypatch.setattr(enrich_mod, "_BLOCK_BYTES", 5 * 8 * 4 * 23)  # 5 rows
+    r = np.random.default_rng(d)
+    # scales that differ by feature make the order of the sum show
+    X = r.normal(size=(23, d)) * np.exp(r.normal(size=d) * 3)
+    Y = X[:6] * 1.5 + 0.25
+    np.testing.assert_array_equal(enrich_mod._pairwise_sq_distances(X),
+                                  broadcast_sq(X, X))
+    np.testing.assert_array_equal(enrich_mod._pairwise_sq_distances(X, Y),
+                                  broadcast_sq(X, Y))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10])  # 1, 3, 6, 10, 36, 45 pairs
+def test_median_distance_is_numpys_median(n):
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    X[n // 2] = X[0]                                 # a zero distance
+    sq = broadcast_sq(X, X)
+    want = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
+    assert enrich_mod._median_pairwise_distance(sq) == want
+
+
 @pytest.mark.parametrize("bandwidth", ["median", 0.05])   # 0.05: A underflows
 @pytest.mark.parametrize("kind", ["duplicates", "zero_rows", "integers"])
 def test_laplacian_matches_the_textbook_expression(monkeypatch, bandwidth,

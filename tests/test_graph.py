@@ -221,6 +221,20 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("line", ["0 1 ORIGINAL extra", "0 1", "0 1 KNN 2"])
+def test_an_edge_line_needs_exactly_three_tokens(tmp_path, line):
+    g = random_graph(seed=1)
+    p = tmp_path / "g.graph"
+    save_graph(g, p)
+    lines = p.read_text().splitlines()
+    first = lines.index(f"edges {g.num_edges}") + 1
+    lines[first] = line
+    p.write_text("\n".join(lines) + "\n")
+    want = rf"g.graph:{first + 1}: expected 'src dst ORIGIN'"
+    with pytest.raises(GraphFormatError, match=want):
+        load_graph(p)
+
+
 @pytest.mark.parametrize("domain_id", [" padded ", "", "a  b\t", "domain x"])
 def test_save_load_keeps_the_domain_id_as_written(tmp_path, domain_id):
     p = tmp_path / "g.graph"

@@ -941,6 +941,43 @@ def test_batched_masks_in_runs_of_destinations_are_bit_identical(monkeypatch):
         loss_over_masks(p, X, edges, labels, masks, cfg), singles)
 
 
+@pytest.mark.parametrize("final", [False, True], ids=["hidden", "final"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["", "keep"])
+@pytest.mark.parametrize("batched_input", [False, True],
+                         ids=["x", "batched-x"])
+def test_taped_layer_has_the_bits_of_the_forward_only_layer(
+        monkeypatch, final, dropout, batched_input):
+    # The forward-only edge stage runs in place, in runs of destinations,
+    # and over a (B, E) mask batch; the taped one keeps its factors apart.
+    # A (B, E) mask against an unbatched input widens the logits, which
+    # then cannot be summed in place.
+    r = np.random.default_rng(23)
+    edges, n = hub_graph()
+    E, H, d_h, d = edges.shape[0], 3, 2, 4
+    arrays = [r.normal(size=(H, d_h, d)), r.normal(size=(H, 2 * d_h + 1)),
+              r.normal(size=H)]
+    out_w = r.normal(size=(3, d_h)) if final else None
+    keep = ad.dropout_keep(np.random.default_rng(3), (H, E), 0.4) \
+        if dropout else None
+    masks = r.uniform(-1.0, 2.0, size=(2, E))
+    x = r.normal(size=(2, n, d) if batched_input else (n, d))
+    seg = EdgeSegments(edges, n)
+
+    def layer(wrap, x, mask):
+        head = None if out_w is None else wrap(out_w)
+        return gat_layer(wrap(x), LayerParams(*map(wrap, arrays)),
+                         wrap(mask), seg, keep, out_w=head).data
+
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", 25 * 8 * 2 * H * d_h)
+    assert len(seg.blocks(25)) > 5
+    batch = layer(ad.constant, x, masks)
+    for b, mask in enumerate(masks):
+        xb = x[b] if batched_input else x
+        taped = layer(ad.param, xb, mask)
+        np.testing.assert_array_equal(taped, layer(ad.constant, xb, mask))
+        np.testing.assert_array_equal(taped, batch[b])
+
+
 def test_nonfinite_head_in_a_later_run_is_named_as_in_one_pass(monkeypatch):
     # The mask logit weight is +1e10 in head 1, -1e10 in head 3 and 0 in the
     # others. A mask value of +1e300 sends head 1's logit to +inf (its

@@ -25,12 +25,15 @@ another directory, run between REV and the working tree, so that each
 seed gives a REV-against-REV pair at the same seed and run length. The
 record gains an "against" entry: per workload and end-to-end metric, the
 median and quartiles of each side, the pairs the working tree wins (ties
-count for neither) and the ratio of its median to REV's; next to them,
-under "control", the second copy's wins against REV, its ratio of medians
-and its IQR, so that a claimed gain can be told from the spread two
-copies of one program show; and each side's median reference kernel
-time, so that it can be told from a change of the time scale. Pick seeds
-not used while the change was built.
+count for neither), the ratio of its median to REV's and the median and
+quartiles of its per-pair ratios to REV ("pair_ratios": a pair shares its
+seed, so these ratios do not carry the spread between seeds that widens
+each side's own IQR); next to them, under "control", the second copy's
+wins against REV, its ratio of medians, its per-pair ratios and its IQR,
+so that a claimed gain can be told from the spread two copies of one
+program show; and each side's median reference kernel time, so that it
+can be told from a change of the time scale. Pick seeds not used while
+the change was built.
 
 Every record also names the code the working tree ran, under "change":
 its HEAD commit, the SHA-256 of `git diff HEAD --binary` and whether it
@@ -125,10 +128,10 @@ def compare(pairs: List[tuple], better: Dict[str, str],
             control: Optional[List[dict]] = None) -> dict:
     """The A/B of one workload from its (REV run, working-tree run) pairs:
     per end-to-end metric both sides' spreads, the working tree's wins out
-    of the pairs and the ratio of its median to REV's, and, given the runs
-    of a second copy of REV at the same seeds, that copy's wins, ratio and
-    IQR against REV's runs under "control"; and each side's reference
-    kernel times."""
+    of the pairs, the ratio of its median to REV's and the spread of its
+    per-pair ratios to REV, and, given the runs of a second copy of REV at
+    the same seeds, that copy's wins, ratios and IQR against REV's runs
+    under "control"; and each side's reference kernel times."""
     out = {"pairs": len(pairs), "metrics": {}}
     for metric, direction in better.items():
         sign = 1 if direction == "lower" else -1
@@ -139,7 +142,8 @@ def compare(pairs: List[tuple], better: Dict[str, str],
             return values, {
                 "wins": sum(sign * (y - x) < 0 for x, y in zip(base, values)),
                 "ratio_of_medians": (statistics.median(values)
-                                     / statistics.median(base))}
+                                     / statistics.median(base)),
+                "pair_ratios": spread([y / x for x, y in zip(base, values)])}
 
         new, figures = versus_base(b for _, b in pairs)
         out["metrics"][metric] = {
