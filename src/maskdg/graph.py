@@ -74,8 +74,8 @@ class Graph:
         if edges.size:
             if edges[:, :2].min() < 0 or edges[:, :2].max() >= n:
                 raise GraphFormatError("edge endpoint outside [0, N)")
-            pairs = edges[:, 0] * n + edges[:, 1]
-            if np.unique(pairs).size != pairs.size:
+            pairs = np.sort(edges[:, 0] * n + edges[:, 1])
+            if (pairs[1:] == pairs[:-1]).any():
                 raise GraphFormatError("duplicate (src, dst) pairs after coalescing")
         feats.setflags(write=False)
         edges.setflags(write=False)

@@ -10,6 +10,7 @@ so a zero mask nullifies the edge's contribution exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -21,9 +22,10 @@ LEAKY_SLOPE = 0.2
 
 # Byte budget of the widest edge tensor of a forward-only pass, which runs in
 # blocks (mask rows in loss_over_masks, edges in gat_layer and masknet), of
-# the int64 view of the mask rows loss_over_masks groups at once, and of the
+# the int64 view of the mask rows loss_over_masks groups at once, of the
 # (rows, E) mask block the weak-duality oracle fills for each such group
-# (`mask_block_rows`).
+# (`mask_block_rows`), and of the (H, N, N) per-head matrix through which
+# gat_layer's VJP takes its dense path.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -170,6 +172,16 @@ class EdgeSegments:
                                                    axis=-1)
         return out
 
+    @cached_property
+    def cells(self) -> Optional[np.ndarray]:
+        """Each edge's flat (dst, src) cell, dst * N + src, or None when a
+        cell holds two edges. An O(E + N^2) count, so read only for graphs
+        small enough for gat_layer's dense backward."""
+        cells = self.dst * self.num_nodes + self.src
+        if np.bincount(cells, minlength=self.num_nodes ** 2).max() > 1:
+            return None
+        return cells
+
     def softmax(self, e: np.ndarray) -> np.ndarray:
         """Stable softmax of (..., E) edge logits over each node's in-edges,
         computed in e's buffer, which it returns."""
@@ -205,6 +217,11 @@ def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
     non-finite. Without a VJP to record, the edge stage runs over
     `seg.blocks` whose (..., H, d_h, E) tensors fit in _CHUNK_BYTES; every
     node's softmax and sum see the same operands, so the bits match one pass.
+    The VJP forms the coefficient and message gradients as dense per-head
+    products through one (H, N, N) matrix when it fits _CHUNK_BYTES and no
+    (dst, src) cell holds two edges, else over the CSR edges. The forward
+    stays CSR: a dense sum over a node's in-edges would add them in node-id
+    order, so relabelling the nodes would change its bits.
     """
     H, d_h, D = lp.W.data.shape
     W = lp.W.data.reshape(H * d_h, D)                         # a view
@@ -269,13 +286,21 @@ def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
             grads = []
             g = (g if out_keep is None else g * out_keep).T.reshape(agg.shape)
         g_agg = g * dact                                      # (H, d_h, N)
-        # The messages' sources are gathered again rather than kept on the
-        # tape: only node tensors and (H, 1, E) factors outlive the forward.
-        g_msg = take(g_agg, seg.dst)                          # (H, d_h, E)
-        prod = take(z, seg.src)
-        prod *= g_msg
-        g_coef = prod.sum(axis=-2, keepdims=True)             # (H, 1, E)
-        del prod
+        n = seg.num_nodes
+        cells = seg.cells if 8 * H * n * n <= _CHUNK_BYTES else None
+        if cells is not None:
+            # Dense: g_coef is G = g_agg^T z at each edge's (dst, src) cell.
+            dense = np.swapaxes(g_agg, 1, 2) @ z              # (H, N, N)
+            g_coef = take(dense.reshape(H, -1), cells)[:, None, :]
+        else:
+            # The messages' sources are gathered again rather than kept on
+            # the tape: only node tensors and (H, 1, E) factors outlive the
+            # forward.
+            g_msg = take(g_agg, seg.dst)                      # (H, d_h, E)
+            prod = take(z, seg.src)
+            prod *= g_msg
+            g_coef = prod.sum(axis=-2, keepdims=True)         # (H, 1, E)
+            del prod
         g_alpha = g_coef * m * drop
         g_shift = take(seg.sum(g_alpha * alpha), seg.dst)     # (H, 1, E)
         g_raw = alpha * (g_alpha - g_shift)
@@ -286,14 +311,21 @@ def gat_layer(h: ad.Var, lp: LayerParams, mask: ad.Var,
             grads.append((mask, g_m))
         if not (want_params or h.requires_grad):
             return grads
-        # Edge terms summed by source; the message gradient is scaled in
-        # place and gathered into source order once.
+        # Edge terms summed by source; on the CSR path the message gradient
+        # is scaled in place and gathered into source order once.
         order = seg.src_order
         g_s = np.concatenate([seg.sum_by_src(take(g_raw, order)),
                               seg.sum(g_raw)], axis=-2)       # (H, 2, N)
-        g_msg *= coef
-        g_z = (seg.sum_by_src(take(g_msg, order))
-               + np.swapaxes(P, 1, 2) @ g_s).reshape(H * d_h, -1)
+        if cells is not None:
+            # The messages' part is g_agg @ A, where A holds coef at each
+            # edge's (dst, src) cell and zero elsewhere; A reuses G's buffer.
+            dense.fill(0.0)
+            dense.reshape(H, -1)[:, cells] = coef.reshape(H, -1)
+            g_zm = g_agg @ dense
+        else:
+            g_msg *= coef
+            g_zm = seg.sum_by_src(take(g_msg, order))
+        g_z = (g_zm + np.swapaxes(P, 1, 2) @ g_s).reshape(H * d_h, -1)
         if h.requires_grad:
             grads.append((h, g_z.T @ W))
         if want_params:

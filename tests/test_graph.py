@@ -268,9 +268,28 @@ def test_graph_rejects_nonfinite_features():
 
 
 def test_graph_rejects_duplicate_pairs():
-    edges = np.array([[0, 1, 0], [0, 1, 1]], dtype=np.int64)
-    with pytest.raises(GraphFormatError):
+    # The two copies of (0, 1) are not neighbours in the input order.
+    edges = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=np.int64)
+    message = r"^duplicate \(src, dst\) pairs after coalescing$"
+    with pytest.raises(GraphFormatError, match=message):
         Graph(np.zeros((2, 1)), edges, np.zeros(2, dtype=int), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=12))))
+def test_duplicate_pair_check_agrees_with_unique(case):
+    n, pairs = case
+    edges = make_edges(pairs, EdgeOrigin.ORIGINAL)
+    flat = edges[:, 0] * n + edges[:, 1]
+    duplicated = np.unique(flat).size != flat.size
+    try:
+        Graph(np.zeros((n, 1)), edges, np.zeros(n, dtype=int), 1)
+    except GraphFormatError:
+        assert duplicated
+    else:
+        assert not duplicated
 
 
 def test_graph_is_immutable():

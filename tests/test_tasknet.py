@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from maskdg import autodiff as ad
 from maskdg import tasknet
-from maskdg.gradients import finite_diff_check, grad_tasknet
+from maskdg.enrich import EnrichConfig, Enricher
+from maskdg.gradients import finite_diff_check, grad_masknet, grad_tasknet
 from maskdg.graph import EdgeOrigin, make_edges
+from maskdg.masknet import init_masknet
+from maskdg.synth import SynthConfig, generate
 from maskdg.tasknet import (
     EdgeSegments,
     LayerParams,
@@ -684,18 +688,34 @@ VJP_CASES = [(False, False, False), (True, True, False), (False, True, False),
              (True, False, False), (False, False, True), (False, True, True)]
 
 
-# the ids name the layer's one activation, ELU
-@pytest.mark.parametrize(
-    "final,dropout,layer_dropout", VJP_CASES,
-    ids=[f"elu-{f}-{d}" + ("-layer-dropout" if l else "")
-         for f, d, l in VJP_CASES])
-def test_gat_layer_vjp_matches_finite_differences(final, dropout,
-                                                  layer_dropout):
+# Six nodes; node 5's only in-edge is its self-loop.
+VJP_PAIRS = [(0, 1), (1, 2), (2, 0), (3, 1), (4, 3), (0, 4), (5, 2), (2, 3)]
+
+
+def wide_gathers(monkeypatch, seg, shape):
+    """Spy on `seg.take`: the list it fills holds one entry per gather of
+    the given (H, d_h) head shape over the edge axis. The forward makes one
+    per layer (the messages' sources); the CSR backward makes three more per
+    layer, the dense one none."""
+    wide = []
+
+    def spy(x, idx):
+        out = np.take(x, idx, axis=-1)
+        if out.shape[-3:-1] == shape:
+            wide.append(out.shape)
+        return out
+
+    monkeypatch.setattr(seg, "take", spy)
+    return wide
+
+
+def assert_layer_vjp_matches_finite_differences(monkeypatch, edges, n, final,
+                                                dropout, layer_dropout):
+    """gat_layer's VJP against central differences of sum(weight * output)
+    in every input; returns the edge-axis head gathers one taped forward and
+    backward made (see `wide_gathers`)."""
     r = np.random.default_rng(21)
-    n, d, H, d_h, C = 6, 4, 3, 2, 3
-    # node 5's only in-edge is its self-loop
-    edges = graph_with_loops([(0, 1), (1, 2), (2, 0), (3, 1), (4, 3),
-                              (0, 4), (5, 2), (2, 3)], n)
+    d, H, d_h, C = 4, 3, 2, 3
     E = edges.shape[0]
     arrays = {"x": r.normal(size=(n, d)), "mask": r.uniform(size=E)}
     W, a, w = zip(*[(r.normal(size=(d_h, d)), r.normal(size=2 * d_h + 1),
@@ -708,6 +728,7 @@ def test_gat_layer_vjp_matches_finite_differences(final, dropout,
     out_keep = ad.dropout_keep(np.random.default_rng(4), (n, H * d_h), 0.4) \
         if layer_dropout else None
     seg = EdgeSegments(edges, n)
+    wide = wide_gathers(monkeypatch, seg, (H, d_h))
     weight = r.normal(size=(n, C if final else H * d_h))
 
     def layer(wrap):
@@ -719,11 +740,151 @@ def test_gat_layer_vjp_matches_finite_differences(final, dropout,
     # seeding backward with `weight` differentiates sum(weight * output)
     out, v = layer(ad.param)
     out.backward(weight)
+    taped = list(wide)
     analytic = {name: var.grad for name, var in v.items()}
     report = finite_diff_check(
         lambda: float((layer(ad.constant)[0].data * weight).sum()),
         list(arrays.items()), analytic, h=1e-5, tol=1e-6)
     assert report.passed, list(report.lines())
+    return taped
+
+
+# the ids name the layer's one activation, ELU
+@pytest.mark.parametrize(
+    "final,dropout,layer_dropout", VJP_CASES,
+    ids=[f"elu-{f}-{d}" + ("-layer-dropout" if l else "")
+         for f, d, l in VJP_CASES])
+def test_gat_layer_vjp_matches_finite_differences(monkeypatch, final, dropout,
+                                                  layer_dropout):
+    edges = graph_with_loops(VJP_PAIRS, 6)
+    assert len(assert_layer_vjp_matches_finite_differences(
+        monkeypatch, edges, 6, final, dropout, layer_dropout)) == 1   # dense
+
+
+# A repeated (src, dst) pair, or an (H, N, N) matrix one byte over the
+# budget, sends the VJP down the CSR path; at the budget it stays dense.
+@pytest.mark.parametrize("case,dense", [("at-budget", True),
+                                        ("over-budget", False),
+                                        ("repeated-pair", False)])
+@pytest.mark.parametrize("final", [False, True], ids=["hidden", "final"])
+def test_backward_path_and_its_gradient_at_the_dense_gate(monkeypatch, case,
+                                                          dense, final):
+    n, H = 6, 3
+    pairs = VJP_PAIRS + [(0, 1)] * (case == "repeated-pair")
+    budget = 8 * H * n * n - (case == "over-budget")
+    monkeypatch.setattr(tasknet, "_CHUNK_BYTES", budget)
+    wide = assert_layer_vjp_matches_finite_differences(
+        monkeypatch, graph_with_loops(pairs, n), n, final, True, not final)
+    assert len(wide) == (1 if dense else 4)
+
+
+@st.composite
+def small_game(draw):
+    """A graph of up to 7 nodes with distinct (src, dst) pairs and a
+    self-loop at every node, in drawn order, and a seeded 2-layer
+    classifier with attention and layer dropout, scorer, features, labels
+    and mask."""
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), min_size=1, max_size=3 * n, unique=True))
+    loops = [(i, i) for i in range(n)]
+    edges = make_edges(draw(st.permutations(pairs + loops)),
+                       EdgeOrigin.ORIGINAL)
+    cfg = TaskNetConfig(layers=2, heads=draw(st.integers(1, 3)),
+                        head_dim=draw(st.integers(2, 3)),
+                        attn_dropout=0.3, layer_dropout=0.2)
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return SimpleNamespace(
+        n=n, edges=edges, cfg=cfg, X=r.normal(size=(n, 3)),
+        labels=r.integers(0, 3, size=n), mask=r.uniform(size=len(edges)),
+        task=small_params(3, 3, cfg, seed=int(r.integers(1 << 16))),
+        maskp=init_masknet(3, 4, 3, r))
+
+
+def game_gradients(g, edges, budget):
+    """grad_tasknet and grad_masknet of game `g` on `edges`, with the
+    budget set to `budget`, and the edge-axis head gathers they made."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tasknet, "_CHUNK_BYTES", budget)
+        seg = EdgeSegments(edges, g.n)
+        wide = wide_gathers(mp, seg, (g.cfg.heads, g.cfg.head_dim))
+        task = grad_tasknet(g.task, g.X, edges, g.mask, g.labels, g.cfg,
+                            np.random.default_rng(1), seg)
+        mask = grad_masknet(g.task, g.maskp, g.X, edges, g.labels, 0.1,
+                            g.cfg, np.random.default_rng(1), seg)
+    return task, mask, wide
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_game())
+def test_dense_backward_matches_the_csr_backward(g):
+    dense_task, dense_mask, wide = game_gradients(g, g.edges,
+                                                  tasknet._CHUNK_BYTES)
+    assert len(wide) == 4                  # the two forwards' gathers only
+    csr_task, csr_mask, wide = game_gradients(g, g.edges, 0)
+    assert len(wide) > 4
+    # The forward is the same code on both paths.
+    assert (dense_task.loss, dense_mask.loss) == (csr_task.loss, csr_mask.loss)
+    # Each sums in its own order; an entry that cancels to near zero is held
+    # to its tensor's scale.
+    for dense, csr in ((dense_task.grads, csr_task.grads),
+                       (dense_mask.grads, csr_mask.grads),
+                       ({"s": dense_mask.mask_grad}, {"s": csr_mask.mask_grad})):
+        for name, want in csr.items():
+            np.testing.assert_allclose(dense[name], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_game(), st.randoms(use_true_random=False))
+def test_dense_backward_follows_the_edges_through_a_shuffle(g, rand):
+    # A shuffle that keeps each node's in-edges in their order, the order in
+    # which its softmax and sums read them, keeps every bit of the layer:
+    # the classifier's gradients stay and d(loss)/d(s) moves with its edges.
+    # Attention dropout is drawn in input edge order, so it is off here; the
+    # scorer sums its gradients in input edge order, so they may move.
+    slots = list(range(len(g.edges)))
+    rand.shuffle(slots)
+    perm = np.empty(len(slots), dtype=np.int64)      # perm[new] = old
+    for v in range(g.n):
+        into = np.flatnonzero(g.edges[:, 1] == v)
+        perm[sorted(slots[i] for i in into)] = into
+    shuffled = g.edges[perm]
+    g = SimpleNamespace(**{**vars(g),
+                           "cfg": replace(g.cfg, attn_dropout=0.0)})
+    g_shuffled = SimpleNamespace(**{**vars(g), "mask": g.mask[perm]})
+    budget = tasknet._CHUNK_BYTES
+    want_task, want_mask, _ = game_gradients(g, g.edges, budget)
+    task, mask, wide = game_gradients(g_shuffled, shuffled, budget)
+    assert len(wide) == 4
+    for name, want in want_task.grads.items():
+        np.testing.assert_array_equal(task.grads[name], want, err_msg=name)
+    np.testing.assert_array_equal(mask.mask_grad, want_mask.mask_grad[perm])
+
+
+def test_default_dims_taped_step_on_the_default_synth_graph_stays_small():
+    # At default dims the CSR backward holds two (H, d_h, E) edge tensors at
+    # once; on this 120-node graph the dense one holds an (H, N, N) matrix.
+    g = generate(SynthConfig()).source_graphs[0]
+    edges = Enricher(g, EnrichConfig(clusters=6),
+                     np.random.default_rng(0)).sample(
+        np.random.default_rng(1)).enriched_edges
+    cfg = TaskNetConfig()
+    p = small_params(g.num_features, g.num_classes, cfg, seed=2)
+    mask = np.random.default_rng(3).uniform(size=len(edges))
+    seg = EdgeSegments(edges, g.num_nodes)
+    assert 8 * cfg.heads * g.num_nodes ** 2 <= tasknet._CHUNK_BYTES
+    assert seg.cells is not None
+    tracemalloc.start()
+    try:
+        grad_tasknet(p, g.features, edges, mask, g.labels, cfg,
+                     np.random.default_rng(4), seg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_network_gradient_with_dropout_matches_finite_differences():
